@@ -5,6 +5,7 @@
 
 use dvp::obs::{txn_timeline, EventKind};
 use dvp::prelude::*;
+use dvp::workloads::HotspotDriftWorkload;
 
 fn ms(n: u64) -> SimTime {
     SimTime::ZERO + SimDuration::millis(n)
@@ -31,6 +32,61 @@ fn golden_trace_is_byte_identical_across_runs() {
     assert!(a.starts_with("{\"trace\":\"dvp-obs/v1\",\"scenario\":\"obs/solicit\",\"seed\":9,"));
     assert!(a.lines().count() > 2, "header plus events");
     assert_eq!(a, b, "same scenario + seed must export identical bytes");
+}
+
+/// The production path — group commit and wire coalescing both on (the
+/// defaults) — is pinned byte-for-byte too: any refactor of the flush,
+/// datagram or ack machinery must leave this trace unchanged.
+#[test]
+fn default_trace_matches_golden() {
+    let got = soliciting_scenario().run().trace_jsonl();
+    let golden = include_str!("golden/obs_solicit.jsonl");
+    assert_eq!(got, golden, "default-config trace diverged from the golden");
+}
+
+/// A small adaptive-placement run: a hotspot drifting across five sites
+/// under `Placement::adaptive()`. It exercises every placement hook —
+/// demand estimation, hint gossip through the flow-control gates,
+/// hint-directed solicitation and the demand-driven rebalancer.
+fn hotspot_adaptive_scenario() -> Scenario {
+    let w = HotspotDriftWorkload {
+        n_sites: 5,
+        items: 4,
+        txns: 200,
+        per_item: 600,
+        ..Default::default()
+    }
+    .generate(3);
+    Scenario::dvp(&w)
+        .name("obs/hotspot_adaptive")
+        .site(
+            SiteConfig::builder()
+                .placement(Placement::adaptive())
+                .build(),
+        )
+        .seed(3)
+        .trace(true)
+}
+
+/// Adaptive placement is pinned byte-for-byte: the trace (including
+/// every `hint_solicit` and `placement_ship`) and the placement and wire
+/// counters must match the golden exactly.
+#[test]
+fn adaptive_placement_trace_matches_golden() {
+    let r = hotspot_adaptive_scenario().run();
+    assert_eq!(
+        (r.hints_sent, r.wire_bytes, r.hinted_solicits, r.rebalances),
+        (30, 9292, 18, 7),
+        "(hints_sent, wire_bytes, hinted_solicits, rebalances) moved"
+    );
+    let got = r.trace_jsonl();
+    assert!(got.contains("\"ev\":\"hint_solicit\""));
+    assert!(got.contains("\"ev\":\"placement_ship\""));
+    let golden = include_str!("golden/obs_hotspot_adaptive.jsonl");
+    assert!(
+        got == golden,
+        "adaptive-placement trace diverged from the golden"
+    );
 }
 
 /// `group_commit: false` + `coalesce: false` reproduces the original
