@@ -200,45 +200,9 @@ fn ablate_placement(c: &mut Criterion) {
     g.finish();
 }
 
-fn ablate_hint_dedupe(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_hint_dedupe");
-    // Same drifting hotspot as the placement ablation: adaptive placement
-    // gossips availability hints on every datagram, so the dedupe window
-    // (resend an unchanged hint only after `hint_ttl / 2`) is what keeps
-    // the hint section from being pure overhead.
-    let w = HotspotDriftWorkload {
-        txns: 300,
-        ..Default::default()
-    }
-    .generate(2);
-    for (dedupe, name) in [(true, "deduped"), (false, "resend_always")] {
-        // `resend_always` sets a 1µs window — an unchanged hint is only
-        // suppressed within the same instant, i.e. the pre-dedupe wire
-        // behavior. Both arms share the derived per-datagram byte budget,
-        // so the delta isolates the dedupe window itself.
-        let vm = VmConfig {
-            hint_resend_after_us: if dedupe { 0 } else { 1 },
-            ..VmConfig::default()
-        };
-        let site = SiteConfig::builder()
-            .placement(Placement::adaptive())
-            .vm(vm)
-            .build();
-        let r = dvp(&w, site, NetworkConfig::reliable());
-        eprintln!(
-            "[ablation hint_dedupe={name}] commits={} wire_bytes={} hints_sent={} hint_hits={}/{}",
-            r.committed, r.wire_bytes, r.hints_sent, r.hint_hits, r.hinted_solicits
-        );
-        g.bench_function(name, |b| {
-            b.iter(|| dvp(&w, site, NetworkConfig::reliable()))
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_coalesce, ablate_timeout, ablate_placement, ablate_hint_dedupe
+    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_coalesce, ablate_timeout, ablate_placement
 );
 criterion_main!(benches);

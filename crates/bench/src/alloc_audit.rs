@@ -12,9 +12,14 @@
 //! `cargo test -p dvp-bench --features alloc-audit`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and drop-free, so touching it never allocates.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
 static DEALLOCS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
 
@@ -27,6 +32,7 @@ pub struct CountingAlloc;
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_thread_alloc();
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
@@ -40,9 +46,15 @@ unsafe impl GlobalAlloc for CountingAlloc {
         // A grow-in-place still moves the high-water mark: count it as an
         // allocation event so Vec doublings are visible to audits.
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_thread_alloc();
         BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
+}
+
+fn count_thread_alloc() {
+    // `try_with`: allocations during thread teardown go uncounted.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
 }
 
 #[global_allocator]
@@ -51,6 +63,13 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// Allocation events so far (allocs + reallocs, process-wide).
 pub fn alloc_count() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocation events so far on the calling thread only. Gates that run
+/// a single-threaded simulation measure with this, so other threads —
+/// the test harness, concurrently running tests — cannot pollute them.
+pub fn thread_alloc_count() -> u64 {
+    THREAD_ALLOCS.with(Cell::get)
 }
 
 /// Deallocation events so far.

@@ -14,7 +14,10 @@
 //! so if the run-phase deltas are equal, those `M` commits allocated
 //! exactly zero times. `W` and `M` are chosen so no amortized container
 //! doubling (commit journal, stable log, byte image) lands between the
-//! two workload sizes; growth that both runs share cancels out.
+//! two workload sizes; growth that both runs share cancels out. The
+//! counter is the test thread's own (the simulation is single-threaded),
+//! so the harness and the other gate, running in parallel, cannot
+//! pollute it.
 
 #![cfg(feature = "alloc-audit")]
 
@@ -48,9 +51,9 @@ fn run_phase_allocs_with(txns: u64, placement: Placement) -> u64 {
         cfg = cfg.at(0, when, spec);
     }
     let mut cl = Cluster::build(cfg);
-    let before = alloc_audit::alloc_count();
+    let before = alloc_audit::thread_alloc_count();
     cl.run_to_quiescence();
-    let during = alloc_audit::alloc_count() - before;
+    let during = alloc_audit::thread_alloc_count() - before;
     let m = cl.stats().txn;
     assert_eq!(m.committed(), txns, "every scripted txn must commit");
     assert_eq!(

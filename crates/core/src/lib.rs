@@ -19,6 +19,7 @@
 //! | §6 concurrency control (Conc1 timestamps, Conc2 2PL)          | [`locks`], [`clock`], [`site`] |
 //! | §7 recovery (redo, lock amnesia, timestamp bump-up)           | [`record`], [`site`] |
 //! | §3 invariant N = ΣNᵢ + N_M                                    | [`audit`] |
+//! | §9 value distribution (refill, hints, rebalancing)            | `placement`, [`policy`] |
 //! | orchestration & measurement                                   | [`cluster`], [`metrics`], [`policy`] |
 //!
 //! The transaction engine is concrete over the paper's canonical domain —
@@ -39,6 +40,7 @@ pub mod item;
 pub mod locks;
 pub mod metrics;
 pub mod ops;
+mod placement;
 pub mod policy;
 pub mod record;
 pub mod site;

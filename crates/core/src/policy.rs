@@ -287,11 +287,6 @@ impl Placement {
             _ => None,
         }
     }
-
-    /// Whether the demand-adaptive subsystem is on.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self, Placement::Adaptive(_))
-    }
 }
 
 /// A named crash site inside the protocol (nemesis crashpoint).
@@ -425,28 +420,16 @@ pub struct SiteConfig {
     /// Link-level coalescing: at each flush boundary every Vm frame bound
     /// for one peer leaves as a single wire datagram (length-prefixed
     /// frame sequence, payloads shared not copied), and standalone acks
-    /// become *delayed* acks that piggyback on the next data datagram or
-    /// flush after [`ack_delay`](Self::ack_delay). The force-before-send
-    /// discipline holds per datagram: the flush forces the log once, then
-    /// drains. Off reproduces the original one-transmission-per-frame
+    /// become *owed* acks that piggyback on a data datagram of the same
+    /// flush or leave as one ack-only datagram per peer at its end — the
+    /// instant the per-frame wire would have sent them. The
+    /// force-before-send discipline holds per datagram: the flush forces
+    /// the log once, then drains. Off reproduces the original one-transmission-per-frame
     /// wire behaviour byte-for-byte (golden-trace pinned, like
     /// [`group_commit`](Self::group_commit)). Availability hints ride
     /// only on coalesced datagrams, so adaptive placement wants this on
     /// (the default).
     pub coalesce: bool,
-    /// How long an owed standalone ack may wait for reverse data traffic
-    /// to piggyback on before the delayed-ack timer flushes it as an
-    /// ack-only datagram. Zero (the default) flushes owed acks in the
-    /// *same dispatch* that produced them — the exact instant the
-    /// per-frame wire sends its acks, so coalescing cannot shift window
-    /// advance or flip borderline transaction timeouts (acks from one
-    /// dispatch still dedup into one cumulative frame per peer, and acks
-    /// with same-dispatch reverse data still piggyback for free). A
-    /// positive delay trades that timing neutrality for more piggyback
-    /// opportunities on chatty bidirectional channels; it must stay well
-    /// below `retransmit_every` or senders retransmit already-accepted
-    /// Vms while the ack dawdles.
-    pub ack_delay: SimDuration,
     /// Nemesis fault injection (crashpoints, torn log writes). Defaults to
     /// fully disabled.
     pub inject: InjectConfig,
@@ -468,7 +451,6 @@ impl Default for SiteConfig {
             unsafe_skip_recovery_redo: false,
             group_commit: true,
             coalesce: true,
-            ack_delay: SimDuration::ZERO,
             inject: InjectConfig::default(),
         }
     }
@@ -499,7 +481,7 @@ impl SiteConfig {
 ///     .placement(Placement::adaptive())
 ///     .checkpoint_every(24)
 ///     .build();
-/// assert!(cfg.placement.is_adaptive());
+/// assert!(cfg.placement.adaptive_params().is_some());
 /// ```
 #[derive(Clone, Debug)]
 pub struct SiteConfigBuilder {
@@ -570,12 +552,6 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Delayed-ack window for coalesced owed acks.
-    pub fn ack_delay(mut self, t: SimDuration) -> Self {
-        self.cfg.ack_delay = t;
-        self
-    }
-
     /// Nemesis fault injection.
     pub fn inject(mut self, inject: InjectConfig) -> Self {
         self.cfg.inject = inject;
@@ -631,10 +607,6 @@ mod tests {
         let c = SiteConfig::default();
         assert!(c.read_lease >= c.txn_timeout.saturating_mul(2));
         assert!(c.retransmit_every < c.txn_timeout);
-        assert!(
-            c.ack_delay < c.retransmit_every,
-            "delayed acks must beat the retransmit timer"
-        );
     }
 
     #[test]
@@ -651,7 +623,7 @@ mod tests {
         assert_eq!(p.fanout(), Fanout::All);
         assert_eq!(p.base_refill(5, 10), 5, "demand-exact");
         assert_eq!(p.rebalance_every(), None);
-        assert!(!p.is_adaptive());
+        assert!(p.adaptive_params().is_none());
     }
 
     #[test]
@@ -664,7 +636,6 @@ mod tests {
     #[test]
     fn adaptive_placement_defaults() {
         let p = Placement::adaptive();
-        assert!(p.is_adaptive());
         assert_eq!(p.fanout(), Fanout::Hinted);
         let a = p.adaptive_params().unwrap();
         assert!(a.gain > 0.0 && a.gain <= 1.0);

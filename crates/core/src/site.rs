@@ -33,9 +33,8 @@ use crate::fragment::FragmentStore;
 use crate::item::ItemId;
 use crate::locks::{Holder, LockTable};
 use crate::metrics::{AbortReason, CommitEntry, SiteMetrics};
-use crate::policy::{
-    AdaptivePlacement, ConcMode, Crashpoint, Fanout, HintChaos, Placement, SiteConfig,
-};
+use crate::placement::{Placer, Ship, Target};
+use crate::policy::{ConcMode, Crashpoint, SiteConfig};
 use crate::record::{DbActions, SiteRecord};
 use crate::transfer::{Transfer, TransferKind};
 use crate::txn::TxnSpec;
@@ -50,7 +49,6 @@ use dvp_storage::{
     StableLog, TornWrite,
 };
 use dvp_vmsg::codec::frame_wire_len;
-use dvp_vmsg::codec::HINT_ENTRY_LEN;
 use dvp_vmsg::{ChannelSnapshot, Frame, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -61,20 +59,9 @@ const TAG_RETRANSMIT: u64 = 2 << TAG_KIND_SHIFT;
 const TAG_LEASE: u64 = 3 << TAG_KIND_SHIFT;
 const TAG_SOLICIT_RETRY: u64 = 4 << TAG_KIND_SHIFT;
 const TAG_REBALANCE: u64 = 5 << TAG_KIND_SHIFT;
-
-const TAG_DELAYED_ACK: u64 = 6 << TAG_KIND_SHIFT;
+// Kind 6 is unassigned: external trace decoders key on these values, so
+// kinds are never renumbered or reused.
 const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
-
-/// Demand floor for targeted hints: one recent solicitation (EWMA
-/// contribution `gain * qty`) stays above it for roughly the hint TTL
-/// under the per-tick decay, so exactly the peers that asked lately
-/// keep receiving updates.
-const HINT_DEMAND_FLOOR: f64 = 0.1;
-/// Scope-to-budget fanout: each advertised item goes to at most this
-/// many peers — the ones soliciting it hardest (ties to the lower peer
-/// id). Under uniform access every peer clears the bare demand floor,
-/// which would re-spread the per-window hint budget (n-1) ways.
-const HINT_FANOUT: usize = 2;
 
 /// Body of a protocol message.
 #[derive(Clone, Debug)]
@@ -336,50 +323,9 @@ pub struct SiteNode {
     lease_timers: Vec<Option<TimerId>>,
     /// Map from outgoing Vm `(peer, seq)` to the item it carries.
     vm_item: BTreeMap<(NodeId, Seq), ItemId>,
-    /// Initial per-item quota (the rebalancer's target level).
-    initial_quotas: Vec<Qty>,
-    /// Last site to solicit each item — where demand lives (the
-    /// reactive fixed-threshold rebalancer's targeting signal).
-    demand_hint: Vec<Option<NodeId>>,
-    /// Adaptive placement: this site's own per-item demand EWMA, fed by
-    /// local transaction demands and timeout deficits. Volatile.
-    own_demand: Vec<f64>,
-    /// Adaptive placement: per-(item, peer) solicited-demand EWMA, fed
-    /// by incoming requests (the demand-driven rebalancer's targeting
-    /// and sizing signal). Volatile. Indexed `item.0 * n + peer`
-    /// (item-major), so a full scan visits `(item, peer)` pairs in the
-    /// lexicographic order the old `BTreeMap<(ItemId, NodeId), _>` used.
-    peer_demand: Vec<f64>,
-    /// Adaptive placement: advertised-surplus hints received from peers,
-    /// with their arrival instant (expired by `hint_ttl`). Volatile
-    /// gossip — never consulted by anything safety-bearing. Indexed
-    /// `item.0 * n + peer` like `peer_demand`.
-    hint_table: Vec<Option<(Qty, SimTime)>>,
-    /// Adaptive placement: this site's trust in hint gossip, an EWMA in
-    /// `[0, 1]` fed by hinted-solicitation outcomes (a hit raises it, a
-    /// timeout on a hinted target lowers it). It scales the effective
-    /// hint TTL — when hints keep lying (fast demand drift), borderline-
-    /// stale entries expire sooner and solicitation falls back to
-    /// broadcast instead of burning timeouts on dead ends. Volatile.
-    hint_confidence: f64,
-    /// Sim-instant (µs) of the last hint-table refresh, `None` before
-    /// the first. Recomputing the per-peer gossip lists costs an
-    /// O(items · peers) sweep, so it runs at most once per quarter hint
-    /// TTL instead of on every flush — well inside the endpoint's
-    /// dedupe window, so the wire never sees the difference. Volatile.
-    last_hint_refresh: Option<u64>,
-    /// The rebalancer's current top (item, peer) candidate and how many
-    /// consecutive ticks it has stayed on top (the persistence gate).
-    /// Volatile.
-    rebalance_candidate: Option<(ItemId, NodeId, u32)>,
-    /// Peers suspected unresponsive after an unanswered single-target
-    /// solicitation, until the stored instant. Any message from the
-    /// peer clears it. Volatile.
-    suspect_until: Vec<Option<SimTime>>,
-    /// Peers with a `Some` slot in `suspect_until` (fast emptiness test).
-    suspect_count: usize,
-    /// Round-robin pointer for `Fanout::One`.
-    rr: usize,
+    /// Value placement: every demand estimate, hint, suspicion and
+    /// rebalancing decision, behind the hooks in [`crate::placement`].
+    placer: Placer,
     retransmit_armed: bool,
     /// A periodic rebalance timer is pending. The timer is idle-aware:
     /// ticks re-arm only while the site has local activity, and arrivals
@@ -427,18 +373,13 @@ pub struct SiteNode {
     demands_scratch: Vec<(ItemId, Qty)>,
     deficits_scratch: Vec<(ItemId, Qty)>,
     released_scratch: Vec<ItemId>,
-    /// Adaptive-path scratch: hint recompute buffer, owed-ack peer list,
-    /// and the solicitation planner's deficit/read work lists — all
-    /// retained so the hinted fast path allocates nothing per dispatch.
-    hint_refresh_scratch: Vec<(u32, u64)>,
-    peer_hint_scratch: Vec<(u32, u64)>,
-    hint_fanout_scratch: Vec<[NodeId; HINT_FANOUT]>,
+    /// Owed-ack peer list, rebalance shipments, and the solicitation
+    /// planner's deficit/read work lists — all retained so the hinted
+    /// fast path allocates nothing per dispatch.
     owed_scratch: Vec<NodeId>,
+    ship_scratch: Vec<Ship>,
     solicit_deficits_scratch: Vec<(ItemId, Qty)>,
     solicit_reads_scratch: Vec<ItemId>,
-    /// Peers with an armed delayed-ack timer (`true` slots). A firing for
-    /// a peer not in this set is stale (crash cleared it), ignored.
-    ack_timers: Vec<bool>,
     /// Group commit: a record that per-record forcing would have forced
     /// inline was appended during this dispatch, so the flush boundary
     /// owes one coalesced force. Stays `false` across ack-only dispatches
@@ -492,22 +433,12 @@ impl SiteNode {
             script,
             items,
             active: Vec::new(),
-            initial_quotas: quotas,
-            demand_hint: vec![None; k],
-            own_demand: vec![0.0; k],
-            peer_demand: vec![0.0; k * n],
-            hint_table: vec![None; k * n],
-            hint_confidence: 1.0,
-            last_hint_refresh: None,
-            rebalance_candidate: None,
-            suspect_until: vec![None; n],
-            suspect_count: 0,
+            placer: Placer::new(cfg.placement, id, n, quotas),
             lock_queue: vec![VecDeque::new(); k],
             outstanding_out: vec![0; k],
             outstanding_items: 0,
             lease_timers: vec![None; k],
             vm_item: BTreeMap::new(),
-            rr: (id + 1) % n.max(1),
             retransmit_armed: false,
             rebalance_armed: false,
             crashpoint_hits: 0,
@@ -528,13 +459,10 @@ impl SiteNode {
             demands_scratch: Vec::new(),
             deficits_scratch: Vec::new(),
             released_scratch: Vec::new(),
-            hint_refresh_scratch: Vec::new(),
-            peer_hint_scratch: Vec::new(),
-            hint_fanout_scratch: Vec::new(),
             owed_scratch: Vec::new(),
+            ship_scratch: Vec::new(),
             solicit_deficits_scratch: Vec::new(),
             solicit_reads_scratch: Vec::new(),
-            ack_timers: vec![false; n],
             needs_flush: false,
         }
     }
@@ -584,46 +512,11 @@ impl SiteNode {
     /// link-level coalescing flag merged in (`SiteConfig::coalesce` is
     /// the host-facing switch; the endpoint default keeps the layer
     /// standalone).
-    ///
-    /// Under adaptive placement the hint-gossip knobs are derived from
-    /// the placement parameters unless the host set them explicitly: a
-    /// hint stays useful for `hint_ttl`, so re-sending an unchanged hint
-    /// more often than every `hint_ttl / 2` wastes wire bytes, and a
-    /// datagram never needs to carry more than `max_hints` entries.
     fn vm_config(cfg: &SiteConfig) -> VmConfig {
-        let mut vm = VmConfig {
+        VmConfig {
             coalesce: cfg.coalesce,
             ..cfg.vm
-        };
-        if let Some(a) = cfg.placement.adaptive_params() {
-            if vm.hint_resend_after_us == 0 {
-                vm.hint_resend_after_us = a.hint_ttl.as_micros() / 2;
-            }
-            if vm.hint_budget_bytes == usize::MAX {
-                vm.hint_budget_bytes = 4 + a.max_hints as usize * HINT_ENTRY_LEN;
-            }
-            // Demand-delta gate: under a churning workload the surplus
-            // moves by a token or two on every commit, so the
-            // exact-equality dedupe above suppresses almost nothing — a
-            // hint is only news when the figure moved materially.
-            if vm.hint_min_delta_pct == 0 {
-                vm.hint_min_delta_pct = 25;
-            }
-            // Global flow-control budget: at most half a hint section
-            // per dedupe window across all peers. Steady gossip is
-            // bounded per unit time however many datagrams the workload
-            // emits; a genuinely new surplus still goes out promptly
-            // (the window is half the hint TTL, so even a budget-capped
-            // item gets two chances per TTL).
-            if vm.hint_window_budget == u32::MAX {
-                // Sized so a site's whole gossip run-rate stays a small
-                // fraction of its data traffic even when every surplus
-                // churns (measured: under uniform access the budget, not
-                // demand, is the binding constraint).
-                vm.hint_window_budget = (a.max_hints / 4).max(2);
-            }
         }
-        vm
     }
 
     /// Attach a trace handle, shared down into the Vm endpoint and the
@@ -719,211 +612,6 @@ impl SiteNode {
         ctx.send_frames_bytes(to, msg, 1, bytes);
     }
 
-    // ---- adaptive placement ----------------------------------------------
-
-    /// Feed the own-demand estimator with one observed local need.
-    fn note_own_demand(&mut self, item: ItemId, qty: Qty) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
-        let e = &mut self.own_demand[Self::di(item)];
-        *e += gain * (qty as f64 - *e);
-    }
-
-    /// Feed the per-peer solicited-demand estimator (incoming requests).
-    fn note_peer_demand(&mut self, item: ItemId, from: NodeId, qty: Qty) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
-        let e = &mut self.peer_demand[Self::di(item) * self.n + from];
-        *e += gain * (qty as f64 - *e);
-    }
-
-    /// Fragment value beyond the headroom this site keeps for its own
-    /// predicted demand — what it can advertise, predictively donate, or
-    /// proactively rebalance away.
-    fn spare(&self, item: ItemId, a: &AdaptivePlacement) -> Qty {
-        let have = self.frags.get(item);
-        let own = self.own_demand[Self::di(item)];
-        have.saturating_sub((a.headroom * own).ceil() as Qty)
-    }
-
-    /// The demand figure a solicitation advertises: the requester's own
-    /// EWMA estimate, at least the instant need. Zero (inert) when the
-    /// adaptive subsystem is off.
-    fn advertised_demand(&self, item: ItemId, need: Qty) -> Qty {
-        if !self.cfg.placement.is_adaptive() {
-            return 0;
-        }
-        let e = self.own_demand[Self::di(item)];
-        need.max(e.ceil() as Qty)
-    }
-
-    /// Recompute the availability hints riding every outgoing datagram:
-    /// the top `max_hints` items by spareable surplus, then targeted per
-    /// peer by observed demand — a peer only receives the hints for
-    /// items it has recently solicited (its `peer_demand` estimate is
-    /// above the noise floor), because a surplus figure for an item a
-    /// peer never asks about is gossip it can never act on. Advisory —
-    /// a peer believing a stale figure only wastes a solicitation.
-    fn refresh_hints(&mut self) {
-        let a = match self.cfg.placement.adaptive_params() {
-            Some(a) => *a,
-            None => return,
-        };
-        let mut hints = std::mem::take(&mut self.hint_refresh_scratch);
-        hints.clear();
-        for idx in 0..self.initial_quotas.len() {
-            let item = ItemId(idx as u32);
-            let s = self.spare(item, &a);
-            if s > 0 {
-                hints.push((item.0, s));
-            }
-        }
-        hints.sort_by(|x, y| y.1.cmp(&x.1).then(x.0.cmp(&y.0)));
-        // Scope-to-budget matching: the flow-control budget admits only
-        // ~`max_hints / 4` entries per dedupe window, so gossiping the
-        // full `max_hints` list spreads that budget across far more
-        // (item, peer) pairs than it can keep fresh — every table entry
-        // ends up older than the TTL and the hinted path starves.
-        // Advertise only the few best surpluses (and, below, only to the
-        // couple of peers most likely to act) so each advertised pair is
-        // re-gossiped well inside the TTL.
-        hints.truncate((a.max_hints as usize / 4).max(2));
-        // Second half of scope-to-budget: each advertised item goes only
-        // to its `HINT_FANOUT` hardest-soliciting peers above the demand
-        // floor. Rank once per item — one O(peers) pass filling a top-k
-        // insertion array (ascending peer order, strictly-greater
-        // replacement, so ties keep the lower id) — instead of re-ranking
-        // the whole peer set for every (peer, item) pair.
-        let mut fanout = std::mem::take(&mut self.hint_fanout_scratch);
-        fanout.clear();
-        for &(item, _) in &hints {
-            let base = item as usize * self.n;
-            let mut top = [usize::MAX; HINT_FANOUT];
-            let mut top_d = [0.0f64; HINT_FANOUT];
-            for q in 0..self.n {
-                if q == self.id {
-                    continue;
-                }
-                let mut cand = (self.peer_demand[base + q], q);
-                if cand.0 < HINT_DEMAND_FLOOR {
-                    continue;
-                }
-                for k in 0..HINT_FANOUT {
-                    if top[k] == usize::MAX || cand.0 > top_d[k] {
-                        std::mem::swap(&mut cand.0, &mut top_d[k]);
-                        std::mem::swap(&mut cand.1, &mut top[k]);
-                        if cand.1 == usize::MAX {
-                            break;
-                        }
-                    }
-                }
-            }
-            fanout.push(top);
-        }
-        let mut filtered = std::mem::take(&mut self.peer_hint_scratch);
-        for peer in 0..self.n {
-            if peer == self.id {
-                continue;
-            }
-            filtered.clear();
-            filtered.extend(
-                hints
-                    .iter()
-                    .zip(&fanout)
-                    .filter(|(_, top)| top.contains(&peer))
-                    .map(|(&h, _)| h),
-            );
-            self.vm.set_peer_hints(peer, &filtered);
-        }
-        self.peer_hint_scratch = filtered;
-        self.hint_fanout_scratch = fanout;
-        self.hint_refresh_scratch = hints;
-    }
-
-    /// Record arriving availability hints (through the chaos knob, for
-    /// the safety-inertness proptests).
-    fn ingest_hints(&mut self, from: NodeId, hints: &[(u32, u64)], now: SimTime) {
-        let chaos = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.chaos,
-            None => return, // subsystem off: arriving hints are ignored
-        };
-        if chaos == HintChaos::Drop {
-            return;
-        }
-        let reps = if chaos == HintChaos::Duplicate { 2 } else { 1 };
-        for _ in 0..reps {
-            for &(item, surplus) in hints {
-                // Hints arrive off the wire: an id outside the catalog
-                // has no table slot (and could never match a
-                // solicitation), so it is dropped rather than trusted.
-                if (item as usize) < self.initial_quotas.len() {
-                    self.hint_table[item as usize * self.n + from] = Some((surplus, now));
-                }
-            }
-        }
-    }
-
-    /// Feed the hint-trust estimator with one hinted-solicitation
-    /// outcome: the hinted donor either delivered (`true`) or let the
-    /// transaction time out (`false`).
-    fn note_hint_outcome(&mut self, hit: bool) {
-        let gain = match self.cfg.placement.adaptive_params() {
-            Some(a) => a.gain,
-            None => return,
-        };
-        let target = if hit { 1.0 } else { 0.0 };
-        self.hint_confidence += gain * (target - self.hint_confidence);
-    }
-
-    /// The hint TTL scaled by observed hint trust: full `hint_ttl` while
-    /// hints keep paying off, down to a quarter of it when they keep
-    /// lying (fast drift makes old gossip worthless sooner).
-    fn effective_hint_ttl_us(&self, a: &AdaptivePlacement) -> u64 {
-        let scale = self.hint_confidence.clamp(0.25, 1.0);
-        (a.hint_ttl.as_micros() as f64 * scale) as u64
-    }
-
-    /// The peer with the highest fresh advertised surplus for `item`
-    /// (suspects and expired hints excluded). `None` ⇒ the `Hinted`
-    /// fan-out falls back to broadcast.
-    fn hinted_target(&self, item: ItemId, need: Qty, now: SimTime) -> Option<(NodeId, Qty)> {
-        let a = self.cfg.placement.adaptive_params()?;
-        if a.chaos == HintChaos::Stale {
-            return None; // chaos: every hint is treated as expired
-        }
-        let ttl_us = self.effective_hint_ttl_us(a);
-        let mut best: Option<(NodeId, Qty)> = None;
-        let base = Self::di(item) * self.n;
-        for peer in 0..self.n {
-            let (surplus, at) = match self.hint_table[base + peer] {
-                Some(h) => h,
-                None => continue,
-            };
-            // A hint below the need would aim the whole solicitation at a
-            // donor that cannot cover it — under Conc1's silent declines
-            // that burns the full timeout, so such hints don't qualify.
-            if peer == self.id || surplus < need.max(1) {
-                continue;
-            }
-            if now.since(at).as_micros() > ttl_us || self.is_suspect(peer, now) {
-                continue;
-            }
-            if best.is_none_or(|(_, s)| surplus > s) {
-                best = Some((peer, surplus));
-            }
-        }
-        best
-    }
-
-    /// Whether `peer` is currently suspected unresponsive.
-    fn is_suspect(&self, peer: NodeId, now: SimTime) -> bool {
-        self.suspect_until[peer].is_some_and(|until| now < until)
-    }
-
     /// A record that per-record forcing hardened inline was just appended:
     /// force now, or (group commit) note that this dispatch's flush
     /// boundary owes a single coalesced force.
@@ -939,8 +627,11 @@ impl SiteNode {
     /// them on the wire (coalescing mode only).
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let mut dgrams = std::mem::take(&mut self.datagram_scratch);
-        self.vm
-            .drain_datagrams_into(ctx.now().micros(), &mut dgrams);
+        let now_us = ctx.now().micros();
+        let placer = &mut self.placer;
+        self.vm.drain_datagrams_into(&mut dgrams, |peer, hints| {
+            placer.hint_block(peer, now_us, hints)
+        });
         for (to, wire) in dgrams.drain(..) {
             let frames = u64::from(wire.frame_count());
             let lamport = self.clock.counter();
@@ -970,58 +661,31 @@ impl SiteNode {
             self.log.force_if_dirty();
             self.needs_flush = false;
         }
-        if let (Some(a), true) = (self.cfg.placement.adaptive_params(), self.cfg.coalesce) {
-            // Refresh the availability gossip riding whatever leaves now
-            // (free: hints piggyback on datagrams that exist anyway) —
-            // but at most once per hint TTL: the endpoint's dedupe window
-            // and demand-delta gate decide what actually goes on the wire,
-            // so recomputing the per-peer lists any faster changes no
-            // bytes (verified identical wire/hint counts at quarter-TTL
-            // cadence) and only costs O(items · peers) sweeps per event.
-            let now_us = ctx.now().micros();
-            let period = a.hint_ttl.as_micros().max(1);
-            if self
-                .last_hint_refresh
-                .is_none_or(|t| now_us.saturating_sub(t) >= period)
-            {
-                self.refresh_hints();
-                self.last_hint_refresh = Some(now_us);
-            }
-        }
         if self.cfg.coalesce {
+            // Refresh the availability gossip riding whatever leaves now
+            // (free: hints piggyback on datagrams that exist anyway; the
+            // placer rate-limits the recompute itself).
+            self.placer.refresh_hints(ctx.now().micros(), &self.frags);
             // One wire datagram per peer per flush: every queued frame
             // toward a peer rides a single transmission, with owed acks
             // folded in. The force above already hardened everything the
             // datagram carries — force-before-send at datagram granularity.
             self.send_vm_datagrams(ctx);
-            // Acks still owed found no data to piggyback on. With a zero
-            // ack delay they leave right now, in this same dispatch, as
-            // ack-only datagrams — the exact instant the per-frame wire
-            // would have sent them, so ack timing (and with it window
-            // advance and borderline txn timeouts) cannot shift. A
-            // positive delay instead opens a window in which reverse
-            // data traffic may still piggyback the ack for free.
-            if self.cfg.ack_delay == SimDuration::ZERO {
-                let mut owed = std::mem::take(&mut self.owed_scratch);
-                owed.clear();
-                owed.extend(self.vm.owed_ack_peers());
-                if !owed.is_empty() {
-                    for &peer in &owed {
-                        self.vm.flush_owed_ack(peer);
-                    }
-                    self.send_vm_datagrams(ctx);
+            // Acks still owed found no data to piggyback on. They leave
+            // right now, in this same dispatch, as ack-only datagrams —
+            // the exact instant the per-frame wire would have sent them,
+            // so ack timing (and with it window advance and borderline
+            // txn timeouts) cannot shift.
+            let mut owed = std::mem::take(&mut self.owed_scratch);
+            owed.clear();
+            owed.extend(self.vm.owed_ack_peers());
+            if !owed.is_empty() {
+                for &peer in &owed {
+                    self.vm.flush_owed_ack(peer);
                 }
-                self.owed_scratch = owed;
-            } else {
-                let mut armed = std::mem::take(&mut self.ack_timers);
-                for peer in self.vm.owed_ack_peers() {
-                    if !armed[peer] {
-                        armed[peer] = true;
-                        ctx.set_timer(self.cfg.ack_delay, TAG_DELAYED_ACK | peer as u64);
-                    }
-                }
-                self.ack_timers = armed;
+                self.send_vm_datagrams(ctx);
             }
+            self.owed_scratch = owed;
         } else {
             let mut outbox = std::mem::take(&mut self.outbox_scratch);
             self.vm.drain_outbox_into(&mut outbox);
@@ -1227,7 +891,7 @@ impl SiteNode {
             // Every local demand feeds the estimator, satisfied or not —
             // a hot site with enough local value still wants the
             // rebalancer (and its own headroom) to keep it stocked.
-            self.note_own_demand(item, demand);
+            self.placer.note_local_demand(item, demand);
             let have = self.frags.get(item);
             let deficit = demand.saturating_sub(have);
             if deficit > 0 {
@@ -1313,68 +977,62 @@ impl SiteNode {
             );
         }
         for &(item, need) in &deficits {
-            let demand = self.advertised_demand(item, need);
-            match self.cfg.placement.fanout() {
-                Fanout::All => self.broadcast_request(ts, item, need, demand, ctx),
-                Fanout::One => {
-                    let to = self.next_rr(ctx.now());
-                    self.send_one_request(ts, item, need, demand, to, false, ctx);
+            let demand = self.placer.advertised_demand(item, need);
+            match self.placer.solicit_target(item, need, ctx.now()) {
+                Target::All => self.broadcast_request(ts, item, need, demand, false, ctx),
+                Target::One(to) => self.send_one_request(ts, item, need, demand, to, false, ctx),
+                Target::Hinted { to, surplus } => {
+                    self.metrics.hinted_solicits += 1;
+                    self.obs
+                        .emit_with(self.id as u32, || EventKind::HintSolicit {
+                            txn: ts.0,
+                            item: item.0,
+                            to: to as u32,
+                            surplus,
+                        });
+                    self.send_one_request(ts, item, need, demand, to, true, ctx);
                 }
-                Fanout::Hinted => match self.hinted_target(item, need, ctx.now()) {
-                    Some((to, surplus)) => {
-                        self.metrics.hinted_solicits += 1;
-                        self.obs
-                            .emit_with(self.id as u32, || EventKind::HintSolicit {
-                                txn: ts.0,
-                                item: item.0,
-                                to: to as u32,
-                                surplus,
-                            });
-                        self.send_one_request(ts, item, need, demand, to, true, ctx);
-                        // Debit the hint locally: soliciting consumes the
-                        // advertised surplus, so back-to-back deficits
-                        // don't all pile onto the same (now drained)
-                        // donor before its next gossip refresh.
-                        if let Some(h) = self.hint_table[Self::di(item) * self.n + to].as_mut() {
-                            h.0 = h.0.saturating_sub(need);
-                        }
-                    }
-                    // No usable hint (cold start, everything stale or
-                    // suspect): broadcast. Losing every hint costs
-                    // messages, never liveness.
-                    None => self.broadcast_request(ts, item, need, demand, ctx),
-                },
             }
         }
         // Reads always go to every other site: Π needs every fragment.
         for &item in &read_items {
-            for to in 0..self.n {
-                if to == self.id {
-                    continue;
-                }
-                self.send(
-                    ctx,
-                    to,
-                    Body::Request {
-                        txn: ts,
-                        item,
-                        need: 0,
-                        demand: 0,
-                        read: true,
-                    },
-                );
-                self.metrics.requests_sent += 1;
-                self.obs
-                    .emit_with(self.id as u32, || EventKind::TxnSolicit {
-                        txn: ts.0,
-                        item: item.0,
-                        to: to as u32,
-                        qty: 0,
-                    });
-            }
+            self.broadcast_request(ts, item, 0, 0, true, ctx);
         }
         self.solicit_deficits_scratch = deficits;
         self.solicit_reads_scratch = read_items;
+    }
+
+    /// Send one solicitation, counting and tracing it.
+    #[allow(clippy::too_many_arguments)]
+    fn request(
+        &mut self,
+        ts: Ts,
+        item: ItemId,
+        need: Qty,
+        demand: Qty,
+        read: bool,
+        to: NodeId,
+        ctx: &mut Context<'_, ProtoMsg>,
+    ) {
+        self.send(
+            ctx,
+            to,
+            Body::Request {
+                txn: ts,
+                item,
+                need,
+                demand,
+                read,
+            },
+        );
+        self.metrics.requests_sent += 1;
+        self.obs
+            .emit_with(self.id as u32, || EventKind::TxnSolicit {
+                txn: ts.0,
+                item: item.0,
+                to: to as u32,
+                qty: need as i64,
+            });
     }
 
     /// Solicit `item` from every other site.
@@ -1384,31 +1042,13 @@ impl SiteNode {
         item: ItemId,
         need: Qty,
         demand: Qty,
+        read: bool,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
         for to in 0..self.n {
-            if to == self.id {
-                continue;
+            if to != self.id {
+                self.request(ts, item, need, demand, read, to, ctx);
             }
-            self.send(
-                ctx,
-                to,
-                Body::Request {
-                    txn: ts,
-                    item,
-                    need,
-                    demand,
-                    read: false,
-                },
-            );
-            self.metrics.requests_sent += 1;
-            self.obs
-                .emit_with(self.id as u32, || EventKind::TxnSolicit {
-                    txn: ts.0,
-                    item: item.0,
-                    to: to as u32,
-                    qty: need as i64,
-                });
         }
     }
 
@@ -1425,52 +1065,13 @@ impl SiteNode {
         hinted: bool,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
-        self.send(
-            ctx,
-            to,
-            Body::Request {
-                txn: ts,
-                item,
-                need,
-                demand,
-                read: false,
-            },
-        );
-        self.metrics.requests_sent += 1;
-        self.obs
-            .emit_with(self.id as u32, || EventKind::TxnSolicit {
-                txn: ts.0,
-                item: item.0,
-                to: to as u32,
-                qty: need as i64,
-            });
+        self.request(ts, item, need, demand, false, to, ctx);
         if let Some(t) = self.active_get_mut(ts) {
             match t.single_targets.binary_search_by_key(&item, |e| e.0) {
                 Ok(i) => t.single_targets[i] = (item, to, hinted),
                 Err(i) => t.single_targets.insert(i, (item, to, hinted)),
             }
         }
-    }
-
-    fn next_rr(&mut self, now: SimTime) -> NodeId {
-        let mut cand = self.rr % self.n;
-        if cand == self.id {
-            cand = (cand + 1) % self.n;
-        }
-        // Skip peers recently seen unresponsive to a single-target
-        // solicitation — asking a known-dead peer burns the whole
-        // timeout for nothing. If every peer is suspect, keep the
-        // original candidate: asking is still no worse than aborting.
-        let mut probe = cand;
-        for _ in 0..self.n {
-            if probe != self.id && !self.is_suspect(probe, now) {
-                cand = probe;
-                break;
-            }
-            probe = (probe + 1) % self.n;
-        }
-        self.rr = (cand + 1) % self.n;
-        cand
     }
 
     /// A read item blocked on our own outstanding Vms just cleared.
@@ -1636,28 +1237,8 @@ impl SiteNode {
             // hinted pick skips it (any message from the peer clears
             // the suspicion — see `on_message`).
             let until = ctx.now() + self.cfg.txn_timeout.saturating_mul(2);
-            for &(item, peer, hinted) in &t.single_targets {
-                if self.suspect_until[peer].replace(until).is_none() {
-                    self.suspect_count += 1;
-                }
-                if hinted {
-                    // The hint that aimed this solicitation lied — the
-                    // advertised surplus was gone by the time the request
-                    // landed. Drop the entry so the retry (and every
-                    // other transaction) stops re-targeting the same
-                    // dead end, and lower the site's trust in gossip so
-                    // borderline-stale hints expire sooner.
-                    self.hint_table[Self::di(item) * self.n + peer] = None;
-                    self.note_hint_outcome(false);
-                }
-            }
-            // Unmet deficits are demand the estimator under-called:
-            // re-emphasize them so the next advertisement asks higher.
-            for &(item, d) in &t.deficits {
-                if d > 0 {
-                    self.note_own_demand(item, d);
-                }
-            }
+            self.placer
+                .on_timeout_abort(until, &t.single_targets, &t.deficits);
         }
         self.release_read_leases(ts, &t.spec, ctx);
         let mut released = std::mem::take(&mut self.released_scratch);
@@ -1753,12 +1334,7 @@ impl SiteNode {
         read: bool,
         ctx: &mut Context<'_, ProtoMsg>,
     ) {
-        self.demand_hint[Self::di(item)] = Some(from);
-        if !read {
-            // Every incoming solicitation is observed demand at `from`
-            // (the demand-driven rebalancer's targeting signal).
-            self.note_peer_demand(item, from, demand.max(need));
-        }
+        self.placer.on_request(from, item, need, demand, read);
         if self.locks.is_locked(item) {
             match self.cfg.conc {
                 ConcMode::Conc1 => {
@@ -1825,20 +1401,7 @@ impl SiteNode {
             }
             (have, TransferKind::ReadGrant)
         } else {
-            let base = self.cfg.placement.base_refill(need, have);
-            let amount = match self.cfg.placement.adaptive_params() {
-                // Predictive refill: top up toward the requester's
-                // estimated ongoing demand, capped by what we can spare
-                // beyond our own predicted needs — one Vm now instead
-                // of another solicitation round-trip soon.
-                Some(a) => {
-                    let extra = demand
-                        .saturating_sub(need)
-                        .min(self.spare(item, a).saturating_sub(base));
-                    (base + extra).min(have)
-                }
-                None => base,
-            };
+            let amount = self.placer.refill_amount(item, need, demand, have);
             if amount == 0 {
                 self.metrics.requests_ignored += 1;
                 self.obs
@@ -1939,153 +1502,31 @@ impl SiteNode {
     }
 
     /// The proactive rebalancer: spontaneous Rds transactions shipping
-    /// surplus value toward observed demand. The reactive arm uses the
-    /// fixed surplus-factor threshold aimed at the *last* solicitor; the
-    /// adaptive arm sizes and targets by the demand EWMAs.
+    /// surplus value toward observed demand, as the placer directs.
     fn run_rebalance(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         if self.crash_pending {
             return;
         }
-        match self.cfg.placement {
-            Placement::Static => return,
-            Placement::Reactive(r) => {
-                let rb = match r.rebalance {
-                    Some(rb) => rb,
-                    None => return,
-                };
-                for idx in 0..self.initial_quotas.len() {
-                    let item = ItemId(idx as u32);
-                    let quota = self.initial_quotas[idx];
-                    if quota == 0 || self.locks.is_locked(item) {
-                        continue;
-                    }
-                    let have = self.frags.get(item);
-                    let threshold = (rb.surplus_factor * quota as f64).ceil() as Qty;
-                    if have <= threshold {
-                        continue;
-                    }
-                    let to = match self.demand_hint[idx] {
-                        Some(to) if to != self.id => to,
-                        _ => continue, // no demand signal: leave the value be
-                    };
-                    // Ship the excess above the threshold (keep `threshold`).
-                    self.ship_rebalance(item, to, have - threshold);
-                }
-            }
-            Placement::Adaptive(a) => {
-                // An idle tick (nothing shipped) appended no records and
-                // queued no frames — the trailing flush would be a pure
-                // no-op, and at the rebalance cadence those no-ops add up.
-                // The hint-refresh check rides the next real dispatch.
-                if !self.run_adaptive_rebalance(&a, ctx.now()) {
-                    return;
-                }
-            }
-        }
-        self.flush_vm(ctx);
-    }
-
-    /// The demand-driven rebalancer: for every item with spareable
-    /// surplus, ship toward the peer whose solicited-demand estimate is
-    /// highest, sized by that estimate — value migrates to where demand
-    /// actually is instead of draining to whoever asked last. Returns
-    /// whether anything actually shipped (the caller skips the trailing
-    /// flush otherwise).
-    fn run_adaptive_rebalance(&mut self, a: &AdaptivePlacement, now: SimTime) -> bool {
-        // One ship per tick, for the (item, peer) pair with the strongest
-        // demand signal. Rebalance Rds transfers are not free — each one
-        // costs a force and a Vm round trip — so the rebalancer moves the
-        // single most valuable block per cadence instead of dribbling on
-        // every item at once (which was measured to *raise* frames/txn
-        // past what hint-directed solicitation saves).
-        let mut best: Option<(ItemId, NodeId, f64)> = None;
-        // Item-major nested scan: visits (item, peer) pairs in the
-        // lexicographic order the old `BTreeMap` iterated, so ties break
-        // identically. The estimate load leads the filter chain because
-        // after decay almost every slot sits below the noise floor — the
-        // common case must be one load and one compare, with the indices
-        // maintained incrementally (a div/mod per slot dominated this
-        // loop's profile at the rebalance cadence).
-        let n = self.n;
-        for item_idx in 0..self.initial_quotas.len() {
-            let base = item_idx * n;
-            let own = a.headroom * self.own_demand[item_idx];
-            for peer in 0..n {
-                let e = self.peer_demand[base + peer];
-                // Noise floor 1.0: a peer must have asked recently and
-                // repeatedly before unsolicited value flows its way. And
-                // demand *contrast*: the peer must want the item materially
-                // more than (a) this site expects to use it itself and
-                // (b) the average of the other peers — both with the donor-
-                // headroom margin. A spontaneous ship only pays for its
-                // force and Vm round trip when demand has genuinely
-                // concentrated somewhere; under a symmetric workload every
-                // site sees comparable solicited demand for every item,
-                // transient EWMA gaps pass any single-estimate test, and
-                // an ungated rebalancer ships value in circles.
-                if e >= 1.0
-                    && peer != self.id
-                    && e > own
-                    && best.is_none_or(|(_, _, b)| e > b)
-                    && !self.is_suspect(peer, now)
-                    && !self.locks.is_locked(ItemId(item_idx as u32))
-                {
-                    let others: f64 = (0..n)
-                        .filter(|&q| q != self.id && q != peer)
-                        .map(|q| self.peer_demand[base + q])
-                        .sum();
-                    let avg_other = others / (n.saturating_sub(2).max(1)) as f64;
-                    if e > a.headroom * avg_other {
-                        best = Some((ItemId(item_idx as u32), peer, e));
-                    }
-                }
-            }
-        }
-        // Persistence gate: a genuine demand gradient keeps the same
-        // (item, peer) pair on top across ticks, because the hot peer
-        // keeps soliciting faster than the EWMA decays. Request noise
-        // under symmetric load instead rotates the top pair nearly every
-        // tick (whoever asked last wins). Shipping only on the third
-        // consecutive tick costs a hotspot two ticks of latency and
-        // filters out almost every circular ship.
-        const SHIP_PERSISTENCE: u32 = 3;
-        let streak = match (best, self.rebalance_candidate) {
-            (Some((item, to, _)), Some((pi, pp, s))) if item == pi && to == pp => s + 1,
-            (Some(_), _) => 1,
-            (None, _) => 0,
-        };
-        self.rebalance_candidate = best.map(|(item, to, _)| (item, to, streak));
-        let mut shipped = false;
-        if let Some((item, to, est)) = best.filter(|_| streak >= SHIP_PERSISTENCE) {
-            // Ship toward the peer's estimated demand (with the same
-            // headroom a donor keeps for itself), never more than spare.
-            let amount = self.spare(item, a).min((a.headroom * est).ceil() as Qty);
-            if amount > 0 {
-                self.ship_rebalance(item, to, amount);
-                shipped = true;
+        let mut ships = std::mem::take(&mut self.ship_scratch);
+        ships.clear();
+        let flush = self
+            .placer
+            .rebalance(&self.frags, &self.locks, ctx.now(), &mut ships);
+        for ship in &ships {
+            self.ship_rebalance(ship.item, ship.to, ship.amount);
+            if ship.traced {
                 self.obs
                     .emit_with(self.id as u32, || EventKind::PlacementShip {
-                        item: item.0,
-                        to: to as u32,
-                        qty: amount,
+                        item: ship.item.0,
+                        to: ship.to as u32,
+                        qty: ship.amount,
                     });
-                // The shipped block covers the demand we knew about;
-                // zeroing the estimate keeps the next tick from shipping
-                // again before fresh solicitations justify it.
-                self.peer_demand[Self::di(item) * self.n + to] = 0.0;
             }
         }
-        // Demand estimates fade unless refreshed: without decay, a
-        // once-hot site would keep attracting value forever after the
-        // hotspot drifts elsewhere. (Decaying a zero slot keeps it zero,
-        // so sweeping the dense tables matches decaying map entries.)
-        for e in self.own_demand.iter_mut() {
-            *e *= 1.0 - a.gain;
+        self.ship_scratch = ships;
+        if flush {
+            self.flush_vm(ctx);
         }
-        for e in self.peer_demand.iter_mut() {
-            *e *= 1.0 - a.gain;
-        }
-        shipped
     }
 
     /// Ship `amount` of `item` to `to` as a spontaneous Rds transaction
@@ -2137,7 +1578,7 @@ impl SiteNode {
         // Piggybacked availability hints first: pure volatile gossip,
         // recorded (or chaos-mangled) before any frame is processed.
         if !datagram.hints.is_empty() {
-            self.ingest_hints(from, &datagram.hints, ctx.now());
+            self.placer.ingest_hints(from, &datagram.hints, ctx.now());
         }
         self.vm.begin_datagram(datagram.id);
         for frame in datagram.frames {
@@ -2246,7 +1687,7 @@ impl SiteNode {
         };
         if hinted_hit {
             self.metrics.hint_hits += 1;
-            self.note_hint_outcome(true);
+            self.placer.on_hint_hit();
         }
         if ready {
             self.commit_txn(holder, ctx);
@@ -2384,7 +1825,7 @@ impl SiteNode {
     /// the running site: recovery must be a pure function of stable
     /// storage.
     pub fn rebuilt_durable_state(&self) -> (FragmentStore, VmEndpoint) {
-        let mut frags = FragmentStore::new(self.initial_quotas.len());
+        let mut frags = FragmentStore::new(self.frags.len());
         let mut vm = VmEndpoint::new(self.id, Self::vm_config(&self.cfg));
         if let Some(cp) = self.checkpoint.load() {
             frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
@@ -2488,9 +1929,7 @@ impl Node for SiteNode {
         }
         self.clock.observe_counter(msg.lamport);
         // Any message from a suspected peer proves it alive again.
-        if self.suspect_count > 0 && self.suspect_until[from].take().is_some() {
-            self.suspect_count -= 1;
-        }
+        self.placer.on_message_from(from);
         // Traffic can change what the next rebalance tick would ship.
         self.arm_rebalance(ctx);
         match msg.body {
@@ -2555,17 +1994,6 @@ impl Node for SiteNode {
                     self.vm.tick();
                 }
                 self.flush_vm(ctx);
-            }
-            TAG_DELAYED_ACK => {
-                let peer = payload as NodeId;
-                if !std::mem::replace(&mut self.ack_timers[peer], false) {
-                    return; // stale timer from before a crash
-                }
-                // The ack-delay window closed without reverse data traffic
-                // to piggyback on: ship the owed ack standalone.
-                if self.vm.flush_owed_ack(peer) {
-                    self.flush_vm(ctx);
-                }
             }
             TAG_TIMEOUT => {
                 let ts = Ts(payload);
@@ -2679,27 +2107,15 @@ impl Node for SiteNode {
         self.outstanding_items = 0;
         self.lease_timers.fill(None);
         self.vm_item.clear();
-        // The adaptive subsystem's entire memory is volatile by design:
-        // demand estimates, received hints, and peer suspicion all
-        // describe a pre-crash world and die here (the endpoint's
-        // outgoing hints died in `crash_reset` above). Recovery never
-        // consults any of it — hints must stay safety-inert.
-        self.own_demand.fill(0.0);
-        self.peer_demand.fill(0.0);
-        self.hint_table.fill(None);
-        self.hint_confidence = 1.0;
-        self.last_hint_refresh = None;
-        self.rebalance_candidate = None;
-        self.suspect_until.fill(None);
-        self.suspect_count = 0;
+        // Placement memory is volatile by design and describes a
+        // pre-crash world. Recovery never consults any of it — hints must
+        // stay safety-inert.
+        self.placer.crash_reset();
         self.clock.crash_reset();
         self.retransmit_armed = false;
         // A pre-crash rebalance timer may still fire after recovery; the
         // handler treats it as a fresh tick and re-arms as needed.
         self.rebalance_armed = false;
-        // Owed acks died with the endpoint's volatile state; pre-crash
-        // delayed-ack timers become stale (the firing checks this set).
-        self.ack_timers.fill(false);
         // What remains of the site *is* its durable log; materialize that
         // view immediately so the site's observable state (fragments, Vm
         // cursors) equals stable storage for the whole downtime. This is

@@ -155,7 +155,7 @@ pub enum EventKind {
         /// Everything ≤ this vseq is acknowledged.
         upto: u64,
         /// Wire datagram carrying the ack — the one it piggybacks on, or
-        /// the ack-only datagram flushed by the delayed-ack timer (0 =
+        /// the ack-only datagram the flush sends for it (0 =
         /// non-coalesced standalone frame; omitted from the encoding).
         datagram: u64,
     },

@@ -92,27 +92,18 @@ impl<'a, M> Context<'a, M> {
         });
     }
 
-    /// Send `msg` to `to`, declaring that it coalesces `frames` logical
-    /// protocol frames into one transmission (link-level batching). The
-    /// kernel treats it as a single wire event — one delay draw, one
-    /// loss/duplication decision — but accounts all `frames` in
-    /// [`NetStats::frames_sent`](crate::stats::NetStats::frames_sent) so
-    /// logical message traffic stays comparable across batching modes.
-    pub fn send_frames(&mut self, to: NodeId, msg: M, frames: u64) {
-        self.actions.push(Action::Send {
-            to,
-            msg,
-            frames,
-            bytes: 0,
-        });
-    }
-
     /// Send `msg` to `to`, declaring both its logical frame count and its
-    /// encoded wire length in bytes. The byte figure feeds
+    /// encoded wire length in bytes. A message that coalesces `frames`
+    /// logical protocol frames into one transmission (link-level
+    /// batching) is a single wire event to the kernel — one delay draw,
+    /// one loss/duplication decision — but all `frames` are accounted in
+    /// [`NetStats::frames_sent`](crate::stats::NetStats::frames_sent), so
+    /// logical message traffic stays comparable across batching modes.
+    /// The byte figure feeds
     /// [`NetStats::wire_bytes`](crate::stats::NetStats::wire_bytes) — the
     /// engine-neutral wire-volume counter the cross-engine benchmarks
     /// compare — and nothing else: delivery, delay and loss are decided
-    /// exactly as for [`send_frames`](Self::send_frames). Protocols whose
+    /// exactly as for [`send`](Self::send). Protocols whose
     /// messages are in-memory values (the 2PC baseline) declare a
     /// deterministic encoded-length estimate here; byte-codec protocols
     /// declare their real encoded size. `bytes = 0` means "undeclared".

@@ -12,7 +12,7 @@ pub struct NetStats {
     pub sent: u64,
     /// Logical protocol frames handed to the network: plain sends count
     /// 1; a coalesced datagram counts its declared frame total (see
-    /// `Context::send_frames`). Equals `sent` when no node batches.
+    /// `Context::send_frames_bytes`). Equals `sent` when no node batches.
     pub frames_sent: u64,
     /// Encoded wire bytes declared by senders via
     /// `Context::send_frames_bytes`. This is the engine-neutral

@@ -27,37 +27,10 @@ pub struct VmConfig {
     /// host drains [`drain_datagrams_into`](VmEndpoint::drain_datagrams_into)
     /// — one [`WireDatagram`] per peer per flush boundary — and eager
     /// acks become *owed* acks that fold into the next outgoing datagram
-    /// (or are flushed standalone by the host's delayed-ack timer via
+    /// (or are flushed standalone by the host via
     /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack)). Off by default at
     /// this layer so the endpoint stands alone; hosts that batch opt in.
     pub coalesce: bool,
-    /// Hint-gossip dedupe window in microseconds: an availability hint
-    /// whose advertised surplus is *unchanged* since it was last sent to
-    /// a peer is suppressed for this long (per peer, per item). `0`
-    /// (the default) resends every hint on every datagram — the
-    /// pre-dedupe behaviour.
-    pub hint_resend_after_us: u64,
-    /// Per-datagram budget for the encoded hint section (section header
-    /// plus entries), in bytes. Hints beyond the budget are dropped for
-    /// that datagram (they are advisory gossip; the next refresh
-    /// re-offers them). `usize::MAX` (the default) means no cap.
-    pub hint_budget_bytes: usize,
-    /// Demand-delta gate: within the dedupe window, a *changed* surplus
-    /// is still suppressed unless it moved by at least this percentage
-    /// of the value last sent to that peer. This is what actually
-    /// contains a hint storm — under a churning workload the surplus
-    /// changes by a token or two on every commit, so exact-equality
-    /// dedupe alone suppresses almost nothing. `0` (the default) keeps
-    /// the pre-gate behaviour: any change is material. A surplus last
-    /// sent as `0` always passes (any recovery from empty is news).
-    pub hint_min_delta_pct: u32,
-    /// Global budget on hint entries sent per dedupe window, across all
-    /// peers and datagrams. Once spent, further hints are suppressed
-    /// until the window rolls (length `hint_resend_after_us`, or per
-    /// flush instant when that is 0). Bounds worst-case gossip volume
-    /// per unit time no matter how many datagrams the workload emits.
-    /// `u32::MAX` (the default) means no cap.
-    pub hint_window_budget: u32,
 }
 
 impl Default for VmConfig {
@@ -66,10 +39,6 @@ impl Default for VmConfig {
             window: 16,
             eager_acks: true,
             coalesce: false,
-            hint_resend_after_us: 0,
-            hint_budget_bytes: usize::MAX,
-            hint_min_delta_pct: 0,
-            hint_window_budget: u32::MAX,
         }
     }
 }
@@ -151,7 +120,7 @@ pub struct VmEndpoint {
     /// Vms whose lifecycle completed since the last drain (peer, seq).
     completed: Vec<(SiteId, Seq)>,
     /// Peers owed a standalone ack (coalesce mode only): the ack rides
-    /// the next data datagram that way, or a delayed-ack flush.
+    /// the next data datagram that way, or the host flushes it.
     ack_owed: Vec<bool>,
     /// Next outgoing datagram id per peer (coalesce mode only; ids are
     /// 1-based and per-(site, peer)). Survives `crash_reset`.
@@ -163,29 +132,10 @@ pub struct VmEndpoint {
     /// Id of the incoming datagram currently being processed (set by
     /// [`begin_datagram`](Self::begin_datagram); 0 = non-coalesced frame).
     in_datagram: u64,
-    /// Availability hints `(item, surplus)` to piggyback on every outgoing
-    /// datagram (adaptive placement gossip). Volatile and advisory: set by
-    /// the host via [`set_hints`](Self::set_hints), wiped on crash, and
-    /// never consulted by the Vm protocol itself.
-    hints: Vec<(u32, u64)>,
-    /// Per-peer dedupe memory: `(item, surplus, sent_at)` for each hint
-    /// last sent to that peer. Volatile (advisory gossip dies with a
-    /// crash). Small linear lists — a site gossips at most a handful of
-    /// hints at a time.
-    hint_sent: Vec<Vec<(u32, u64, u64)>>,
-    /// Per-peer targeted hint lists (see
-    /// [`set_peer_hints`](Self::set_peer_hints)); the parallel flag says
-    /// whether the slot overrides the global `hints` list. Volatile.
-    peer_hints: Vec<Vec<(u32, u64)>>,
-    peer_hints_set: Vec<bool>,
-    /// Reused per-datagram buffer for the hints that survive dedupe and
-    /// the byte budget.
+    /// Reused per-datagram buffer the host fills with the availability
+    /// hints that datagram carries (see
+    /// [`drain_datagrams_into`](Self::drain_datagrams_into)).
     hint_scratch: Vec<(u32, u64)>,
-    /// Start of the current global hint-budget window (µs; see
-    /// [`VmConfig::hint_window_budget`]). Volatile.
-    hint_window_start: u64,
-    /// Hint entries already sent in the current window, across all peers.
-    hint_window_used: u32,
     stats: VmStats,
     /// Structured-observability handle (disabled by default; the host
     /// shares the cluster-wide handle via [`VmEndpoint::set_obs`]).
@@ -208,13 +158,7 @@ impl VmEndpoint {
             next_datagram: Vec::new(),
             groups: Vec::new(),
             in_datagram: 0,
-            hints: Vec::new(),
-            hint_sent: Vec::new(),
-            peer_hints: Vec::new(),
-            peer_hints_set: Vec::new(),
             hint_scratch: Vec::new(),
-            hint_window_start: 0,
-            hint_window_used: 0,
             stats: VmStats::default(),
             obs: Obs::disabled(),
         }
@@ -236,47 +180,6 @@ impl VmEndpoint {
         &self.stats
     }
 
-    /// Replace the availability hints piggybacked on outgoing datagrams.
-    /// The host refreshes these from its placement layer; an empty slice
-    /// (the default) keeps the wire encoding byte-identical to a build
-    /// without hints. Requires [`coalesce`](VmConfig::coalesce) — bare
-    /// frames have nowhere to carry a hint section.
-    pub fn set_hints(&mut self, hints: Vec<(u32, u64)>) {
-        self.hints = hints;
-    }
-
-    /// Allocation-free variant of [`set_hints`](Self::set_hints): copy
-    /// the slice into the endpoint's retained hint buffer. Hot-path
-    /// hosts that refresh hints on every flush boundary use this so the
-    /// steady state allocates nothing.
-    pub fn set_hints_from_slice(&mut self, hints: &[(u32, u64)]) {
-        self.hints.clear();
-        self.hints.extend_from_slice(hints);
-    }
-
-    /// Replace the availability hints for one specific peer. A peer with
-    /// a targeted list gets it *instead of* the global list — the host's
-    /// placement layer uses this to gossip an item's surplus only to the
-    /// peers whose observed demand makes the hint actionable, instead of
-    /// broadcasting every surplus to everyone. Pass an empty slice to
-    /// send that peer nothing. Targeted lists are volatile and cleared
-    /// by [`clear_peer_hints`](Self::clear_peer_hints) or a crash.
-    pub fn set_peer_hints(&mut self, peer: SiteId, hints: &[(u32, u64)]) {
-        self.ensure_peer(peer);
-        self.peer_hints[peer].clear();
-        self.peer_hints[peer].extend_from_slice(hints);
-        self.peer_hints_set[peer] = true;
-    }
-
-    /// Drop `peer`'s targeted hint list: it falls back to the global
-    /// [`set_hints`](Self::set_hints) list.
-    pub fn clear_peer_hints(&mut self, peer: SiteId) {
-        if peer < self.peer_hints.len() {
-            self.peer_hints[peer].clear();
-            self.peer_hints_set[peer] = false;
-        }
-    }
-
     /// Grow every peer-indexed table to cover `peer`. `next_datagram` is
     /// grown but never cleared — its contents outlive crashes.
     fn ensure_peer(&mut self, peer: SiteId) {
@@ -288,9 +191,6 @@ impl VmEndpoint {
         self.dirty.resize(n, false);
         self.ack_owed.resize(n, false);
         self.groups.resize_with(n, Vec::new);
-        self.hint_sent.resize_with(n, Vec::new);
-        self.peer_hints.resize_with(n, Vec::new);
-        self.peer_hints_set.resize(n, false);
         if n > self.next_datagram.len() {
             self.next_datagram.resize(n, 0);
         }
@@ -450,10 +350,10 @@ impl VmEndpoint {
 
     fn queue_ack(&mut self, peer: SiteId) {
         if self.cfg.coalesce {
-            // Delayed-ack policy: mark the ack *owed*. It folds into the
-            // next outgoing datagram toward `peer` (data frames always
-            // carry the current cumulative ack), or the host's delayed-
-            // ack timer flushes it standalone via `flush_owed_ack`.
+            // Mark the ack *owed*. It folds into the next outgoing
+            // datagram toward `peer` (data frames always carry the
+            // current cumulative ack), or the host flushes it standalone
+            // via `flush_owed_ack`.
             self.ensure_peer(peer);
             if self.ack_owed[peer] {
                 // Already owed: the cumulative cursor covers both
@@ -526,9 +426,9 @@ impl VmEndpoint {
             {
                 max_in_window = max_in_window.max(seq);
                 // Coalescing pacing: a frame first sent since the previous
-                // tick gets one tick of grace — its ack may still be
-                // sitting in the receiver's delayed-ack window, and
-                // retransmitting into that race only burns datagrams.
+                // tick gets one tick of grace — its ack may still be in
+                // flight, and retransmitting into that race only burns
+                // datagrams.
                 // First transmissions (frames the window just admitted)
                 // always go out.
                 if cfg.coalesce && seq <= highest_sent && seq > retx_before {
@@ -592,13 +492,22 @@ impl VmEndpoint {
     /// folded away. A data-bearing datagram that services an owed ack or
     /// advances the on-wire ack cursor counts one avoided standalone
     /// frame in [`VmStats::bytes_acked_piggyback`]. Owed acks toward
-    /// peers with no outgoing data stay owed — the host's delayed-ack
-    /// timer flushes them via [`flush_owed_ack`](Self::flush_owed_ack).
+    /// peers with no outgoing data stay owed — the host flushes them via
+    /// [`flush_owed_ack`](Self::flush_owed_ack).
     ///
-    /// `now` (microseconds, the host's clock) drives the hint-gossip
-    /// dedupe window ([`VmConfig::hint_resend_after_us`]); pass `0` when
-    /// no hints are in play.
-    pub fn drain_datagrams_into(&mut self, now: u64, out: &mut Vec<(SiteId, WireDatagram)>) {
+    /// `hints(peer, block)` is asked, once per datagram while that
+    /// datagram is built, to append the availability hints
+    /// `(item, surplus)` it should carry. The endpoint makes no hint
+    /// decisions: it encodes whatever the host supplies (an empty block
+    /// keeps the encoding byte-identical to a hintless datagram) and
+    /// counts it in [`VmStats::hints_sent`] and
+    /// [`VmStats::hint_bytes_sent`]. Hosts without hints pass
+    /// `|_, _| {}`.
+    pub fn drain_datagrams_into(
+        &mut self,
+        out: &mut Vec<(SiteId, WireDatagram)>,
+        mut hints: impl FnMut(SiteId, &mut Vec<(u32, u64)>),
+    ) {
         if self.outbox.is_empty() {
             return;
         }
@@ -646,7 +555,8 @@ impl VmEndpoint {
                     });
                 }
             }
-            self.select_hints(to, now);
+            self.hint_scratch.clear();
+            hints(to, &mut self.hint_scratch);
             let wire = WireDatagram::encode_with_hints(id, &group, &self.hint_scratch);
             self.stats.datagrams_sent += 1;
             self.stats.bytes_sent += DATAGRAM_HEADER_LEN as u64;
@@ -662,86 +572,11 @@ impl VmEndpoint {
         }
     }
 
-    /// Fill `hint_scratch` with the hints worth sending to `to` now:
-    /// drop entries whose surplus is unchanged — or changed by less than
-    /// the demand-delta gate — since the last send to this peer within
-    /// the dedupe window, charge survivors against the global per-window
-    /// budget, then cap the section at the per-datagram byte budget.
-    fn select_hints(&mut self, to: SiteId, now: u64) {
-        self.hint_scratch.clear();
-        let targeted = self.peer_hints_set.get(to).copied().unwrap_or(false);
-        let hint_count = if targeted {
-            self.peer_hints[to].len()
-        } else {
-            self.hints.len()
-        };
-        if hint_count == 0 {
-            return;
-        }
-        let budget = self.cfg.hint_budget_bytes;
-        let max_entries = if budget == usize::MAX {
-            usize::MAX
-        } else if budget < 4 + HINT_ENTRY_LEN {
-            0
-        } else {
-            (budget - 4) / HINT_ENTRY_LEN
-        };
-        let ttl = self.cfg.hint_resend_after_us;
-        let min_delta_pct = self.cfg.hint_min_delta_pct as u64;
-        let window_budget = self.cfg.hint_window_budget;
-        if window_budget != u32::MAX && now.saturating_sub(self.hint_window_start) >= ttl.max(1) {
-            self.hint_window_start = now;
-            self.hint_window_used = 0;
-        }
-        let mut sent = std::mem::take(&mut self.hint_sent[to]);
-        for i in 0..hint_count {
-            let (item, surplus) = if targeted {
-                self.peer_hints[to][i]
-            } else {
-                self.hints[i]
-            };
-            if self.hint_scratch.len() >= max_entries || self.hint_window_used >= window_budget {
-                self.stats.hints_suppressed += (hint_count - i) as u64;
-                break;
-            }
-            match sent.iter_mut().find(|e| e.0 == item) {
-                Some(e) if ttl > 0 && e.1 == surplus && now.saturating_sub(e.2) < ttl => {
-                    self.stats.hints_suppressed += 1;
-                }
-                // Demand-delta gate: a changed surplus within the window
-                // is still noise unless it moved materially. The dedupe
-                // memory is deliberately NOT updated — the delta keeps
-                // accumulating against the value the peer actually saw,
-                // so a slow drift eventually crosses the gate.
-                Some(e)
-                    if ttl > 0
-                        && min_delta_pct > 0
-                        && now.saturating_sub(e.2) < ttl
-                        && surplus.abs_diff(e.1) * 100 < e.1 * min_delta_pct =>
-                {
-                    self.stats.hints_suppressed += 1;
-                }
-                Some(e) => {
-                    e.1 = surplus;
-                    e.2 = now;
-                    self.hint_window_used = self.hint_window_used.saturating_add(1);
-                    self.hint_scratch.push((item, surplus));
-                }
-                None => {
-                    sent.push((item, surplus, now));
-                    self.hint_window_used = self.hint_window_used.saturating_add(1);
-                    self.hint_scratch.push((item, surplus));
-                }
-            }
-        }
-        self.hint_sent[to] = sent;
-    }
-
     /// Flush an owed ack toward `peer` as a standalone `Ack` frame
     /// (queued; the next [`drain_datagrams_into`](Self::drain_datagrams_into)
     /// ships it as an ack-only datagram). Returns whether an ack was
-    /// actually owed. The host calls this when its delayed-ack window
-    /// expires without reverse data traffic having piggybacked the ack.
+    /// actually owed. The host calls this when no reverse data traffic
+    /// is going to piggyback the ack.
     pub fn flush_owed_ack(&mut self, peer: SiteId) -> bool {
         if peer >= self.ack_owed.len() || !self.ack_owed[peer] {
             return false;
@@ -765,7 +600,7 @@ impl VmEndpoint {
     }
 
     /// Peers currently owed a standalone ack, in ascending order (the
-    /// host arms one delayed-ack timer per owed peer after each flush).
+    /// host flushes each after draining its data datagrams).
     pub fn owed_ack_peers(&self) -> impl Iterator<Item = SiteId> + '_ {
         self.ack_owed
             .iter()
@@ -845,19 +680,6 @@ impl VmEndpoint {
             *a = false;
         }
         self.in_datagram = 0;
-        // Hints are advisory gossip about pre-crash surplus: stale by
-        // definition now, so they die with the rest of volatile state —
-        // the per-peer dedupe memory included.
-        self.hints.clear();
-        for h in &mut self.hint_sent {
-            h.clear();
-        }
-        for p in &mut self.peer_hints {
-            p.clear();
-        }
-        self.peer_hints_set.fill(false);
-        self.hint_window_start = 0;
-        self.hint_window_used = 0;
         // `next_datagram` survives: it is pure wire-level numbering, and
         // keeping it monotone means datagram ids in a trace never repeat
         // for a (site, peer) pair across crashes.
@@ -1305,7 +1127,7 @@ mod tests {
     /// Deliver every drained datagram of `a` to `b`, returning receipts.
     fn flush_datagrams(a: &mut VmEndpoint, b: &mut VmEndpoint) -> Vec<Receipt> {
         let mut dgrams = Vec::new();
-        a.drain_datagrams_into(0, &mut dgrams);
+        a.drain_datagrams_into(&mut dgrams, |_, _| {});
         let mut receipts = Vec::new();
         for (to, wire) in dgrams {
             assert_eq!(to, b.site());
@@ -1325,7 +1147,7 @@ mod tests {
         let _ = s.create(2, b("b"));
         let _ = s.create(1, b("c"));
         let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
+        s.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(dgrams.len(), 2, "one datagram per peer");
         assert!(
             dgrams.windows(2).all(|w| w[0].0 < w[1].0),
@@ -1362,12 +1184,12 @@ mod tests {
         // The eager ack became an *owed* ack — nothing on the wire yet.
         assert!(r.has_owed_ack(0));
         let mut none = Vec::new();
-        r.drain_datagrams_into(0, &mut none);
+        r.drain_datagrams_into(&mut none, |_, _| {});
         assert!(none.is_empty(), "owed ack alone does not build a datagram");
         // Reverse data traffic folds it in for free.
         let _ = r.create(0, b("reverse"));
         let mut dgrams = Vec::new();
-        r.drain_datagrams_into(0, &mut dgrams);
+        r.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(dgrams.len(), 1);
         assert!(!r.has_owed_ack(0), "owed ack folded into the datagram");
         assert_eq!(r.stats().bytes_acked_piggyback, ACK_FRAME_LEN as u64);
@@ -1400,7 +1222,7 @@ mod tests {
         let _ = s.create(1, b("a"));
         let _ = s.create(1, b("b"));
         let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
+        s.drain_datagrams_into(&mut dgrams, |_, _| {});
         for (_, wire) in dgrams {
             let d = wire.decode();
             r.begin_datagram(d.id);
@@ -1421,7 +1243,7 @@ mod tests {
         // The surviving owed ack flushes standalone: one frame acking both.
         assert!(r.flush_owed_ack(0));
         let mut dgrams = Vec::new();
-        r.drain_datagrams_into(0, &mut dgrams);
+        r.drain_datagrams_into(&mut dgrams, |_, _| {});
         let d = dgrams[0].1.decode();
         assert_eq!(d.frames, vec![Frame::Ack { ack: 2 }]);
         assert_eq!(r.stats().ack_frames_sent, 1);
@@ -1451,7 +1273,7 @@ mod tests {
         // Reverse data carries ack=1: an advance over the never-sent 0.
         let _ = r.create(0, b("reverse"));
         let mut dgrams = Vec::new();
-        r.drain_datagrams_into(0, &mut dgrams);
+        r.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(
             r.stats().bytes_acked_piggyback,
             ACK_FRAME_LEN as u64,
@@ -1469,7 +1291,7 @@ mod tests {
         r.tick();
         r.tick();
         dgrams.clear();
-        r.drain_datagrams_into(0, &mut dgrams);
+        r.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(dgrams.len(), 1, "retransmission went out");
         assert_eq!(
             r.stats().bytes_acked_piggyback,
@@ -1493,7 +1315,7 @@ mod tests {
         assert!(r.flush_owed_ack(0));
         assert!(!r.flush_owed_ack(0), "second flush finds nothing owed");
         let mut dgrams = Vec::new();
-        r.drain_datagrams_into(0, &mut dgrams);
+        r.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(dgrams.len(), 1);
         let d = dgrams[0].1.decode();
         assert_eq!(d.frames, vec![Frame::Ack { ack: 1 }]);
@@ -1509,111 +1331,38 @@ mod tests {
     }
 
     #[test]
-    fn hints_ride_every_datagram_and_die_on_crash() {
+    fn host_hint_blocks_ride_their_datagrams_and_are_counted() {
         let mut s = VmEndpoint::new(0, coalescing_cfg());
-        s.set_hints(vec![(7, 40), (9, 3)]);
         let _ = s.create(1, b("a"));
         let _ = s.create(2, b("b"));
+        let mut asked = Vec::new();
         let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams.len(), 2);
-        for (_, wire) in &dgrams {
-            assert_eq!(wire.decode().hints, vec![(7, 40), (9, 3)]);
-        }
-        let per_dgram = (4 + 2 * HINT_ENTRY_LEN) as u64;
-        assert_eq!(
-            s.stats().hints_sent,
-            4,
-            "two hints on each of two datagrams"
-        );
-        assert_eq!(s.stats().hint_bytes_sent, 2 * per_dgram);
-        // Crash wipes the gossip along with the rest of volatile state.
-        s.crash_reset();
-        s.tick();
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert!(dgrams.is_empty(), "crash_reset also dropped the outbox");
-        let op = s.create(1, b("again"));
-        let _ = op;
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, Vec::<(u32, u64)>::new());
-        assert_eq!(s.stats().hints_sent, 4, "no hints sent after the crash");
-    }
-
-    #[test]
-    fn unchanged_hints_are_deduped_within_the_resend_window() {
-        let cfg = VmConfig {
-            hint_resend_after_us: 1_000,
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(7, 40), (9, 3)]);
-
-        // First datagram carries both hints.
-        let _ = s.create(1, b("a"));
-        let mut dgrams = Vec::new();
-        s.drain_datagrams_into(100, &mut dgrams);
+        // The host decides per peer: two hints for peer 1, none for 2.
+        s.drain_datagrams_into(&mut dgrams, |peer, block| {
+            asked.push(peer);
+            if peer == 1 {
+                block.extend_from_slice(&[(7, 40), (9, 3)]);
+            }
+        });
+        assert_eq!(asked, vec![1, 2], "asked once per datagram, in peer order");
         assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 3)]);
+        assert!(
+            dgrams[1].1.decode().hints.is_empty(),
+            "an empty block elides the hint section"
+        );
+        let section = (4 + 2 * HINT_ENTRY_LEN) as u64;
         assert_eq!(s.stats().hints_sent, 2);
-
-        // Same hints, still inside the window: the section is elided
-        // entirely (byte-identical to a hintless datagram).
-        let _ = s.create(1, b("b"));
-        dgrams.clear();
-        s.drain_datagrams_into(200, &mut dgrams);
-        assert!(dgrams[0].1.decode().hints.is_empty());
-        assert_eq!(s.stats().hints_sent, 2, "nothing new sent");
-        assert_eq!(s.stats().hints_suppressed, 2);
-
-        // One surplus changes: only the changed entry goes out.
-        s.set_hints(vec![(7, 40), (9, 5)]);
-        let _ = s.create(1, b("c"));
-        dgrams.clear();
-        s.drain_datagrams_into(300, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(9, 5)]);
-        assert_eq!(s.stats().hints_sent, 3);
-
-        // The window expires: unchanged hints are refreshed again.
-        let _ = s.create(1, b("d"));
-        dgrams.clear();
-        s.drain_datagrams_into(2_000, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 5)]);
-
-        // Dedupe memory is per peer: a first datagram toward a new peer
-        // carries everything regardless of what peer 1 already saw.
-        let _ = s.create(2, b("e"));
-        dgrams.clear();
-        s.drain_datagrams_into(2_100, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(7, 40), (9, 5)]);
-    }
-
-    #[test]
-    fn hint_byte_budget_caps_the_section() {
-        // Budget for exactly two entries: 4 + 2 * HINT_ENTRY_LEN.
-        let cfg = VmConfig {
-            hint_budget_bytes: 4 + 2 * HINT_ENTRY_LEN,
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(1, 10), (2, 20), (3, 30), (4, 40)]);
-        let _ = s.create(1, b("a"));
-        let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert_eq!(dgrams[0].1.decode().hints, vec![(1, 10), (2, 20)]);
-        assert_eq!(s.stats().hints_sent, 2);
-        assert_eq!(s.stats().hints_suppressed, 2, "two dropped to the budget");
-        // A budget too small for even one entry elides the section.
-        let cfg = VmConfig {
-            hint_budget_bytes: HINT_ENTRY_LEN, // < 4 + HINT_ENTRY_LEN
-            ..coalescing_cfg()
-        };
-        let mut s = VmEndpoint::new(0, cfg);
-        s.set_hints(vec![(1, 10)]);
-        let _ = s.create(1, b("a"));
-        dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
-        assert!(dgrams[0].1.decode().hints.is_empty());
+        assert_eq!(s.stats().hint_bytes_sent, section);
+        let frames: u64 = dgrams
+            .iter()
+            .flat_map(|(_, w)| w.decode().frames)
+            .map(|f| frame_wire_len(&f) as u64)
+            .sum();
+        assert_eq!(
+            s.stats().bytes_sent,
+            frames + 2 * DATAGRAM_HEADER_LEN as u64 + section,
+            "the hint section is wire volume"
+        );
     }
 
     #[test]
@@ -1621,13 +1370,13 @@ mod tests {
         let mut s = VmEndpoint::new(0, coalescing_cfg());
         let op = s.create(1, b("a"));
         let mut dgrams = Vec::new();
-        s.drain_datagrams_into(0, &mut dgrams);
+        s.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(dgrams[0].1.decode().id, 1);
         s.crash_reset();
         s.replay(&op);
         s.tick();
         dgrams.clear();
-        s.drain_datagrams_into(0, &mut dgrams);
+        s.drain_datagrams_into(&mut dgrams, |_, _| {});
         assert_eq!(
             dgrams[0].1.decode().id,
             2,

@@ -219,7 +219,7 @@ proptest! {
         steps in proptest::collection::vec(dgram_step_strategy(), 1..100),
         coalesce in any::<bool>(),
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, coalesce, ..VmConfig::default() };
+        let cfg = VmConfig { window: 4, eager_acks: true, coalesce };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         // The wire: each element is one transmission unit.
@@ -232,7 +232,7 @@ proptest! {
         fn drain(ep: &mut VmEndpoint, expect_to: usize, wire: &mut Vec<Unit>, coalesce: bool) {
             if coalesce {
                 let mut dgrams = Vec::new();
-                ep.drain_datagrams_into(0, &mut dgrams);
+                ep.drain_datagrams_into(&mut dgrams, |_, _| {});
                 for (to, wd) in dgrams {
                     assert_eq!(to, expect_to);
                     wire.push(Unit::Dgram(wd));
