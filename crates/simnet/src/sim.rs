@@ -17,7 +17,7 @@
 //!   checked both at send and at delivery time, so a partition also cuts
 //!   messages already in flight across the new boundary.
 
-use crate::event::{Event, EventKind};
+use crate::event::{Delivery, ScriptEntry, ScriptLane, Scripted};
 use crate::network::{Fate, NetworkConfig, NetworkModel};
 use crate::node::{Action, Context, Node, TimerId};
 use crate::rng::SimRng;
@@ -28,6 +28,14 @@ use crate::trace::{Trace, TraceEvent};
 use crate::NodeId;
 use dvp_obs::{EventKind as ObsEvent, Obs};
 use std::collections::BinaryHeap;
+
+/// Which lane the run loop pops next.
+#[derive(Clone, Copy)]
+enum Lane {
+    Delivery,
+    Timer,
+    Script,
+}
 
 /// Default cap on processed events per `run_*` call; a protocol that
 /// exceeds it almost certainly livelocked, and determinism means the
@@ -42,12 +50,16 @@ pub struct Simulation<N: Node> {
     node_rngs: Vec<SimRng>,
     net_rng: SimRng,
     net: NetworkModel,
-    queue: BinaryHeap<Event<N::Msg>>,
+    /// In-flight deliveries — the only events that need a heap.
+    queue: BinaryHeap<Delivery<N::Msg>>,
     /// Armed timers, separate from the event queue so cancellation is an
-    /// in-place removal instead of a tombstone. Both lanes draw `seq` from
-    /// the same counter, and the run loop merges them by `(at, seq)`, so
-    /// the total order is identical to the single-queue kernel's.
+    /// in-place removal instead of a tombstone.
     timers: TimerLane,
+    /// Externals, crashes and recoveries scheduled from outside a run.
+    /// All three lanes draw `seq` from the same counter, and the run loop
+    /// merges them by `(at, seq)`, so the total order is identical to the
+    /// single-queue kernel's.
+    script: ScriptLane,
     now: SimTime,
     seq: u64,
     next_timer: u64,
@@ -82,6 +94,7 @@ impl<N: Node> Simulation<N> {
             net: NetworkModel::new(net),
             queue: BinaryHeap::new(),
             timers: TimerLane::new(),
+            script: ScriptLane::default(),
             now: SimTime::ZERO,
             seq: 0,
             next_timer: 0,
@@ -158,10 +171,10 @@ impl<N: Node> Simulation<N> {
         self.net.connected(a, b, self.now)
     }
 
-    /// Number of pending events (message/external/fault events plus armed
-    /// timers).
+    /// Number of pending events (in-flight messages, pending externals and
+    /// faults, and armed timers).
     pub fn pending_events(&self) -> usize {
-        self.queue.len() + self.timers.len()
+        self.queue.len() + self.timers.len() + self.script.len()
     }
 
     /// Number of armed (not yet fired, not cancelled) timers.
@@ -173,34 +186,45 @@ impl<N: Node> Simulation<N> {
 
     /// Schedule a crash of `node` at absolute time `at`.
     pub fn schedule_crash(&mut self, at: SimTime, node: NodeId) {
-        self.push(at, EventKind::Crash { node });
+        self.schedule(at, Scripted::Crash { node });
     }
 
     /// Schedule a recovery of `node` at absolute time `at`.
     pub fn schedule_recover(&mut self, at: SimTime, node: NodeId) {
-        self.push(at, EventKind::Recover { node });
+        self.schedule(at, Scripted::Recover { node });
     }
 
     /// Schedule an external event (e.g. a client arrival) for `node`.
     pub fn schedule_external(&mut self, at: SimTime, node: NodeId, tag: u64) {
-        self.push(at, EventKind::External { node, tag });
+        self.schedule(at, Scripted::External { node, tag });
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind<N::Msg>) {
+    fn schedule(&mut self, at: SimTime, what: Scripted) {
         debug_assert!(at >= self.now, "cannot schedule into the past");
-        let ev = Event {
+        self.script.push(ScriptEntry {
             at: at.max(self.now),
             seq: self.seq,
-            kind,
-        };
+            what,
+        });
         self.seq += 1;
-        self.queue.push(ev);
+        self.note_depth();
+    }
+
+    fn push_delivery(&mut self, at: SimTime, from: NodeId, to: NodeId, msg: N::Msg) {
+        self.queue.push(Delivery {
+            at: at.max(self.now),
+            seq: self.seq,
+            from,
+            to,
+            msg,
+        });
+        self.seq += 1;
         self.note_depth();
     }
 
     #[inline]
     fn note_depth(&mut self) {
-        let depth = (self.queue.len() + self.timers.len()) as u64;
+        let depth = self.pending_events() as u64;
         if depth > self.stats.peak_queue_depth {
             self.stats.peak_queue_depth = depth;
         }
@@ -238,36 +262,45 @@ impl<N: Node> Simulation<N> {
 
     fn run_internal(&mut self, deadline: SimTime) -> u64 {
         self.ensure_started();
+        // Schedule calls happen only between runs, so one sort here keeps
+        // the script lane ordered for the whole run.
+        self.script.sort();
         let mut processed = 0u64;
         while !self.halted {
-            // Merge the event and timer lanes by `(at, seq)`. Both draw
-            // `seq` from the same counter, so this replays exactly the
-            // total order of the old single-queue kernel.
-            let ev_key = self.queue.peek().map(|e| (e.at, e.seq));
-            let (key, from_timers) = match (ev_key, self.timers.peek_key()) {
-                (None, None) => break,
-                (Some(e), None) => (e, false),
-                (None, Some(t)) => (t, true),
-                (Some(e), Some(t)) => {
-                    if t < e {
-                        (t, true)
-                    } else {
-                        (e, false)
+            // Merge the three lanes by `(at, seq)`. All draw `seq` from the
+            // same counter, so this replays exactly the total order of the
+            // old single-queue kernel.
+            let mut next = self.queue.peek().map(|e| ((e.at, e.seq), Lane::Delivery));
+            for (key, lane) in [
+                (self.timers.peek_key(), Lane::Timer),
+                (self.script.peek_key(), Lane::Script),
+            ] {
+                if let Some(k) = key {
+                    if next.is_none_or(|(best, _)| k < best) {
+                        next = Some((k, lane));
                     }
                 }
-            };
-            if key.0 > deadline {
+            }
+            let Some(((at, _), lane)) = next else { break };
+            if at > deadline {
                 break;
             }
-            debug_assert!(key.0 >= self.now, "time went backwards");
-            self.now = key.0;
+            debug_assert!(at >= self.now, "time went backwards");
+            self.now = at;
             self.obs.set_now_us(self.now.0);
-            if from_timers {
-                let t = self.timers.pop().expect("peeked");
-                self.fire_timer(t);
-            } else {
-                let ev = self.queue.pop().expect("peeked");
-                self.handle(ev.kind);
+            match lane {
+                Lane::Delivery => {
+                    let ev = self.queue.pop().expect("peeked");
+                    self.deliver(ev.from, ev.to, ev.msg);
+                }
+                Lane::Timer => {
+                    let t = self.timers.pop().expect("peeked");
+                    self.fire_timer(t);
+                }
+                Lane::Script => {
+                    let e = self.script.pop().expect("peeked");
+                    self.run_scripted(e.what);
+                }
             }
             processed += 1;
             self.stats.events_processed += 1;
@@ -284,44 +317,45 @@ impl<N: Node> Simulation<N> {
         processed
     }
 
-    fn handle(&mut self, kind: EventKind<N::Msg>) {
-        match kind {
-            EventKind::Deliver { from, to, msg } => {
-                if self.crashed[to] {
-                    self.stats.dropped_crashed += 1;
-                    self.trace.record(TraceEvent::DeadRecipient {
-                        at: self.now,
-                        from,
-                        to,
-                    });
-                    return;
-                }
-                // A partition that arose while the message was in flight
-                // also cuts it.
-                if !self.net.connected(from, to, self.now) {
-                    self.stats.partitioned += 1;
-                    self.trace.record(TraceEvent::Partitioned {
-                        at: self.now,
-                        from,
-                        to,
-                    });
-                    return;
-                }
-                self.stats.delivered += 1;
-                self.trace.record(TraceEvent::Delivered {
-                    at: self.now,
-                    from,
-                    to,
-                });
-                self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
-            }
-            EventKind::External { node, tag } => {
+    fn deliver(&mut self, from: NodeId, to: NodeId, msg: N::Msg) {
+        if self.crashed[to] {
+            self.stats.dropped_crashed += 1;
+            self.trace.record(TraceEvent::DeadRecipient {
+                at: self.now,
+                from,
+                to,
+            });
+            return;
+        }
+        // A partition that arose while the message was in flight also
+        // cuts it.
+        if !self.net.connected(from, to, self.now) {
+            self.stats.partitioned += 1;
+            self.trace.record(TraceEvent::Partitioned {
+                at: self.now,
+                from,
+                to,
+            });
+            return;
+        }
+        self.stats.delivered += 1;
+        self.trace.record(TraceEvent::Delivered {
+            at: self.now,
+            from,
+            to,
+        });
+        self.dispatch(to, |node, ctx| node.on_message(from, msg, ctx));
+    }
+
+    fn run_scripted(&mut self, what: Scripted) {
+        match what {
+            Scripted::External { node, tag } => {
                 if self.crashed[node] {
                     return; // a client arriving at a dead site gets nothing
                 }
                 self.dispatch(node, |n, ctx| n.on_external(tag, ctx));
             }
-            EventKind::Crash { node } => {
+            Scripted::Crash { node } => {
                 if self.crashed[node] {
                     return;
                 }
@@ -332,7 +366,7 @@ impl<N: Node> Simulation<N> {
                 self.obs.emit(node as u32, ObsEvent::Crash);
                 self.nodes[node].on_crash();
             }
-            EventKind::Recover { node } => {
+            Scripted::Recover { node } => {
                 if !self.crashed[node] {
                     return;
                 }
@@ -408,7 +442,7 @@ impl<N: Node> Simulation<N> {
                     // A crashpoint inside the callback: everything buffered
                     // before this action already took effect (work completed
                     // before the failure); everything after it is discarded.
-                    // Semantics otherwise match an EventKind::Crash.
+                    // Semantics otherwise match a scheduled crash.
                     if !self.crashed[id] {
                         self.crashed[id] = true;
                         self.epoch[id] += 1;
@@ -455,19 +489,12 @@ impl<N: Node> Simulation<N> {
             Fate::Deliver(arrivals) => match arrivals.dup {
                 // Single arrival (the overwhelmingly common case): the
                 // message moves into the queue — no clone.
-                None => self.push(arrivals.first, EventKind::Deliver { from, to, msg }),
+                None => self.push_delivery(arrivals.first, from, to, msg),
                 Some(dup_at) => {
                     self.stats.duplicated += 1;
                     // Push order (first, then dup) fixes seq assignment.
-                    self.push(
-                        arrivals.first,
-                        EventKind::Deliver {
-                            from,
-                            to,
-                            msg: msg.clone(),
-                        },
-                    );
-                    self.push(dup_at, EventKind::Deliver { from, to, msg });
+                    self.push_delivery(arrivals.first, from, to, msg.clone());
+                    self.push_delivery(dup_at, from, to, msg);
                 }
             },
         }

@@ -37,7 +37,8 @@ pub struct NetStats {
     /// Events processed by the kernel (deliveries, externals, timer fires,
     /// crashes, recoveries — everything the main loop pops).
     pub events_processed: u64,
-    /// High-water mark of pending work (event queue + armed timers).
+    /// High-water mark of pending work (in-flight messages + pending
+    /// externals and faults + armed timers).
     pub peak_queue_depth: u64,
 }
 
