@@ -69,8 +69,8 @@ fn run_phase_allocs(txns: u64) -> u64 {
 
 #[test]
 fn fast_path_commit_allocates_zero() {
-    // Prime process-wide state the measured runs would otherwise pay for
-    // unevenly (the thread-local encode pool persists across clusters).
+    // Prime any lazily initialised process-wide state the measured runs
+    // would otherwise pay for unevenly.
     run_phase_allocs(64);
     let base = run_phase_allocs(W);
     let extended = run_phase_allocs(W + M);

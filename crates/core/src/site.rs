@@ -746,7 +746,7 @@ impl SiteNode {
         let suffix = self
             .log
             .stable_records_from(self.checkpoint.redo_from())
-            .count();
+            .len();
         if suffix < limit {
             return;
         }
