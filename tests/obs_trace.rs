@@ -24,6 +24,40 @@ fn soliciting_scenario() -> Scenario {
         .trace(true)
 }
 
+/// The baseline engine on the same catalog plus a second item: the
+/// 40-seat reservation and two concurrent transactions run two-phase
+/// commit across the replicas, and the transfer's prepares share a
+/// transmission with another transaction's traffic to the same peer.
+fn trad_scenario() -> Scenario {
+    let mut catalog = Catalog::new();
+    let flight = catalog.add("flight", 100, Split::Even);
+    let hotel = catalog.add("hotel", 100, Split::Even);
+    Scenario::trad_sites(4, catalog)
+        .name("obs/trad2pc")
+        .at(1, ms(1), TxnSpec::reserve(flight, 40))
+        .at(2, ms(1), TxnSpec::reserve(hotel, 10))
+        .at(3, ms(2), TxnSpec::transfer(flight, hotel, 5))
+        .at(0, ms(200), TxnSpec::reserve(flight, 3))
+        .seed(9)
+        .trace(true)
+}
+
+/// The baseline's production path (group-committed forces, one
+/// coalesced transmission per peer per dispatch) is pinned
+/// byte-for-byte under `TradConfig::default()`, wire counters included.
+#[test]
+fn trad2pc_trace_matches_golden() {
+    let r = trad_scenario().run();
+    assert_eq!(
+        (r.committed, r.messages, r.frames, r.wire_bytes),
+        (4, 74, 78, 2446),
+        "(committed, messages, frames, wire_bytes) moved"
+    );
+    let got = r.trace_jsonl();
+    let golden = include_str!("golden/obs_trad2pc.jsonl");
+    assert_eq!(got, golden, "trad2pc trace diverged from the golden");
+}
+
 #[test]
 fn golden_trace_is_byte_identical_across_runs() {
     let a = soliciting_scenario().run().trace_jsonl();
