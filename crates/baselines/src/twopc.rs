@@ -129,7 +129,7 @@ pub enum TradBody {
     },
     /// Link-level batch: every message this site queued for one peer
     /// during one dispatch, coalesced into a single wire transmission
-    /// (see [`TradConfig::coalesce`]). Each inner message keeps its own
+    /// (see `TradNode::flush_wire`). Each inner message keeps its own
     /// Lamport stamp; the receiver unpacks and handles them in order.
     /// Never nested.
     Batch(Vec<TradMsg>),
@@ -213,20 +213,6 @@ pub struct TradConfig {
     pub unprepared_timeout: SimDuration,
     /// Interval for decision retries and in-doubt decision queries.
     pub retry_every: SimDuration,
-    /// Group commit: defer log forces to the end of each event dispatch
-    /// (one coalesced force per dispatch, still ahead of any outbound
-    /// message actually transmitting — the kernel only puts messages on
-    /// the wire after the dispatch returns). Mirrors the DvP engine's
-    /// knob so cross-engine forces/txn comparisons stay fair.
-    pub group_commit: bool,
-    /// Link-level coalescing: messages queued for the same peer during
-    /// one dispatch leave as a single [`TradBody::Batch`] transmission.
-    /// Mirrors `SiteConfig::coalesce` on the DvP engine so cross-engine
-    /// wire-transmission comparisons stay fair — neither engine gets a
-    /// free batching advantage. Logical message counts
-    /// (`TradMetrics::messages_sent`, kernel `frames_sent`) are
-    /// unaffected.
-    pub coalesce: bool,
 }
 
 impl Default for TradConfig {
@@ -237,8 +223,6 @@ impl Default for TradConfig {
             txn_timeout: SimDuration::millis(50),
             unprepared_timeout: SimDuration::millis(150),
             retry_every: SimDuration::millis(20),
-            group_commit: true,
-            coalesce: true,
         }
     }
 }
@@ -315,7 +299,7 @@ pub struct TradNode {
     /// the divergence check; kept across crashes like metrics).
     resolutions: BTreeMap<Ts, bool>,
     /// Messages queued this dispatch, awaiting the wire-flush boundary
-    /// (empty between dispatches; only used when `cfg.coalesce`).
+    /// (empty between dispatches).
     wire_buf: Vec<(NodeId, TradMsg)>,
     /// Structured trace handle (disabled by default).
     obs: Obs,
@@ -397,24 +381,19 @@ impl TradNode {
             .count()
     }
 
-    fn send(&mut self, ctx: &mut Context<'_, TradMsg>, to: NodeId, body: TradBody) {
+    fn send(&mut self, to: NodeId, body: TradBody) {
         self.metrics.messages_sent += 1;
         let lamport = self.clock.counter();
-        let msg = TradMsg { lamport, body };
-        if self.cfg.coalesce {
-            self.wire_buf.push((to, msg));
-        } else {
-            let bytes = msg.wire_len();
-            ctx.send_frames_bytes(to, msg, 1, bytes);
-        }
+        self.wire_buf.push((to, TradMsg { lamport, body }));
     }
 
     /// Wire-flush boundary: everything `send` buffered during this
-    /// dispatch leaves now, one transmission per destination. Runs right
-    /// after [`flush_log`](Self::flush_log) at the end of each callback,
-    /// so every batch still departs with its records durable. A peer
-    /// with a single message gets it unwrapped (identical wire shape to
-    /// the non-coalesced mode); two or more go out as one
+    /// dispatch leaves now, one transmission per destination — the
+    /// link-level coalescing the DvP engine does too, so cross-engine
+    /// transmission counts compare like with like. Runs right after
+    /// [`flush_log`](Self::flush_log) at the end of each callback, so
+    /// every batch still departs with its records durable. A peer with a
+    /// single message gets it unwrapped; two or more go out as one
     /// [`TradBody::Batch`] declaring its logical frame count to the
     /// kernel.
     fn flush_wire(&mut self, ctx: &mut Context<'_, TradMsg>) {
@@ -446,17 +425,7 @@ impl TradNode {
     /// the kernel transmits any message the dispatch queued, so votes and
     /// decisions still only leave with their records durable.
     fn flush_log(&mut self) {
-        if self.cfg.group_commit {
-            self.log.force_if_dirty();
-        }
-    }
-
-    /// Per-record force under the classic discipline; a no-op when group
-    /// commit defers to the flush boundary instead.
-    fn force_record(&mut self) {
-        if !self.cfg.group_commit {
-            self.log.force();
-        }
+        self.log.force_if_dirty();
     }
 
     // ---- coordinator side -------------------------------------------------
@@ -495,7 +464,7 @@ impl TradNode {
         );
         for (item, sites) in awaiting {
             for site in sites {
-                self.send(ctx, site, TradBody::LockReq { txn: ts, item });
+                self.send(site, TradBody::LockReq { txn: ts, item });
             }
         }
     }
@@ -588,7 +557,7 @@ impl TradNode {
             };
             self.decisions.insert(ts, true);
             for site in participants {
-                self.send(ctx, site, TradBody::ReleaseLocks { txn: ts });
+                self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
             let latency = ctx.now().since(started).as_micros();
             self.metrics.record_commit(latency);
@@ -602,13 +571,12 @@ impl TradNode {
         // Pure readers are released now; writers enter the vote.
         for site in participants {
             if !part_writes.contains_key(&site) {
-                self.send(ctx, site, TradBody::ReleaseLocks { txn: ts });
+                self.send(site, TradBody::ReleaseLocks { txn: ts });
             }
         }
         let peer_list: Vec<u64> = part_writes.keys().map(|&s| s as u64).collect();
         for (site, writes) in part_writes {
             self.send(
-                ctx,
                 site,
                 TradBody::Prepare {
                     txn: ts,
@@ -646,7 +614,7 @@ impl TradNode {
                         c.writers.clone()
                     };
                     for site in writers {
-                        self.send(ctx, site, TradBody::PreCommit { txn: ts });
+                        self.send(site, TradBody::PreCommit { txn: ts });
                     }
                     ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
                 }
@@ -660,7 +628,6 @@ impl TradNode {
             txn: ts,
             commit: true,
         });
-        self.force_record();
         self.decisions.insert(ts, true);
         let (writers, started) = {
             let c = self.coord.get_mut(&ts).expect("coord txn");
@@ -671,7 +638,6 @@ impl TradNode {
         };
         for site in writers {
             self.send(
-                ctx,
                 site,
                 TradBody::Decision {
                     txn: ts,
@@ -693,7 +659,7 @@ impl TradNode {
 
     // ---- 3PC handlers ------------------------------------------------------
 
-    fn on_precommit(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
+    fn on_precommit(&mut self, from: NodeId, ts: Ts) {
         if let Some(p) = self.part.get_mut(&ts) {
             if p.prepared_writes.is_some() {
                 p.precommitted = true;
@@ -701,7 +667,7 @@ impl TradNode {
         }
         // Ack regardless: if we already resolved, the coordinator should
         // stop waiting on us.
-        self.send(ctx, from, TradBody::PreAck { txn: ts });
+        self.send(from, TradBody::PreAck { txn: ts });
     }
 
     fn on_preack(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
@@ -718,7 +684,7 @@ impl TradNode {
         }
     }
 
-    fn on_state_query(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
+    fn on_state_query(&mut self, from: NodeId, ts: Ts) {
         let state = if let Some(p) = self.part.get(&ts) {
             if p.precommitted {
                 1
@@ -731,7 +697,7 @@ impl TradNode {
                 Some(false) | None => 3,
             }
         };
-        self.send(ctx, from, TradBody::StateReply { txn: ts, state });
+        self.send(from, TradBody::StateReply { txn: ts, state });
     }
 
     fn on_state_reply(&mut self, ts: Ts, state: u8, ctx: &mut Context<'_, TradMsg>) {
@@ -764,7 +730,6 @@ impl TradNode {
             }
         }
         self.log.append(TradRecord::Resolved { txn: ts, commit });
-        self.force_record();
         self.resolutions.insert(ts, commit);
         if let Some(since) = p.in_doubt_since {
             self.metrics
@@ -786,11 +751,10 @@ impl TradNode {
         for site in &c.participants {
             match c.phase {
                 CoordPhase::Locking => {
-                    self.send(ctx, *site, TradBody::ReleaseLocks { txn: ts });
+                    self.send(*site, TradBody::ReleaseLocks { txn: ts });
                 }
                 _ => {
                     self.send(
-                        ctx,
                         *site,
                         TradBody::Decision {
                             txn: ts,
@@ -829,7 +793,7 @@ impl TradNode {
         match self.locks.get(&item) {
             Some(&holder) if holder == ts => {
                 // Duplicate request: re-grant idempotently.
-                self.grant(from, ts, item, ctx);
+                self.grant(from, ts, item);
             }
             Some(_) => {
                 self.queues.entry(item).or_default().push_back((ts, from));
@@ -837,7 +801,7 @@ impl TradNode {
             None => {
                 self.locks.insert(item, ts);
                 self.track_part(ts, from, item, ctx);
-                self.grant(from, ts, item, ctx);
+                self.grant(from, ts, item);
             }
         }
     }
@@ -865,11 +829,10 @@ impl TradNode {
         }
     }
 
-    fn grant(&mut self, to: NodeId, ts: Ts, item: ItemId, ctx: &mut Context<'_, TradMsg>) {
+    fn grant(&mut self, to: NodeId, ts: Ts, item: ItemId) {
         let value = self.values[item.0 as usize];
         let version = self.versions[item.0 as usize];
         self.send(
-            ctx,
             to,
             TradBody::LockGrant {
                 txn: ts,
@@ -896,7 +859,6 @@ impl TradNode {
         if !holds_all {
             // We released (unprepared timeout) or never knew it: vote NO.
             self.send(
-                ctx,
                 from,
                 TradBody::Vote {
                     txn: ts,
@@ -910,7 +872,6 @@ impl TradNode {
             coordinator: from as u64,
             writes: writes.clone(),
         });
-        self.force_record();
         {
             let p = self.part.get_mut(&ts).expect("checked above");
             p.prepared_writes = Some(writes);
@@ -922,7 +883,7 @@ impl TradNode {
                 .collect();
         }
         self.metrics.in_doubt_entered += 1;
-        self.send(ctx, from, TradBody::Vote { txn: ts, yes: true });
+        self.send(from, TradBody::Vote { txn: ts, yes: true });
         // Start querying if the decision does not arrive.
         ctx.set_timer(
             self.cfg.retry_every.saturating_mul(2),
@@ -935,7 +896,7 @@ impl TradNode {
             Some(p) => p,
             None => {
                 // Already resolved: just (re-)ack so the coordinator stops.
-                self.send(ctx, from, TradBody::DecisionAck { txn: ts });
+                self.send(from, TradBody::DecisionAck { txn: ts });
                 return;
             }
         };
@@ -950,7 +911,6 @@ impl TradNode {
             }
         }
         self.log.append(TradRecord::Resolved { txn: ts, commit });
-        self.force_record();
         if p.prepared_writes.is_some() {
             self.resolutions.insert(ts, commit);
         }
@@ -961,7 +921,7 @@ impl TradNode {
         for item in p.items {
             self.release_lock(ts, item, ctx);
         }
-        self.send(ctx, p.coordinator, TradBody::DecisionAck { txn: ts });
+        self.send(p.coordinator, TradBody::DecisionAck { txn: ts });
     }
 
     fn on_release(&mut self, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
@@ -990,15 +950,15 @@ impl TradNode {
             {
                 self.locks.insert(item, next_ts);
                 self.track_part(next_ts, next_from, item, ctx);
-                self.grant(next_from, next_ts, item, ctx);
+                self.grant(next_from, next_ts, item);
             }
         }
     }
 
-    fn on_query(&mut self, from: NodeId, ts: Ts, ctx: &mut Context<'_, TradMsg>) {
+    fn on_query(&mut self, from: NodeId, ts: Ts) {
         match self.decisions.get(&ts) {
             Some(&commit) => {
-                self.send(ctx, from, TradBody::Decision { txn: ts, commit });
+                self.send(from, TradBody::Decision { txn: ts, commit });
             }
             None => {
                 if self.coord.contains_key(&ts) {
@@ -1006,7 +966,6 @@ impl TradNode {
                 } else {
                     // Presumed abort: no record, not active ⇒ abort.
                     self.send(
-                        ctx,
                         from,
                         TradBody::Decision {
                             txn: ts,
@@ -1032,14 +991,14 @@ impl TradNode {
             TradBody::Prepare { txn, writes, peers } => {
                 self.on_prepare(from, txn, writes, peers, ctx)
             }
-            TradBody::PreCommit { txn } => self.on_precommit(from, txn, ctx),
+            TradBody::PreCommit { txn } => self.on_precommit(from, txn),
             TradBody::PreAck { txn } => self.on_preack(from, txn, ctx),
-            TradBody::StateQuery { txn } => self.on_state_query(from, txn, ctx),
+            TradBody::StateQuery { txn } => self.on_state_query(from, txn),
             TradBody::StateReply { txn, state } => self.on_state_reply(txn, state, ctx),
             TradBody::Vote { txn, yes } => self.on_vote(from, txn, yes, ctx),
             TradBody::Decision { txn, commit } => self.on_decision(from, txn, commit, ctx),
             TradBody::DecisionAck { txn } => self.on_decision_ack(from, txn),
-            TradBody::DecisionQuery { txn } => self.on_query(from, txn, ctx),
+            TradBody::DecisionQuery { txn } => self.on_query(from, txn),
             TradBody::ReleaseLocks { txn } => self.on_release(txn, ctx),
             TradBody::Batch(_) => debug_assert!(false, "batches are never nested"),
         }
@@ -1113,13 +1072,13 @@ impl Node for TradNode {
                 match action {
                     Some((CoordPhase::Deciding { commit }, pending)) => {
                         for site in pending {
-                            self.send(ctx, site, TradBody::Decision { txn: ts, commit });
+                            self.send(site, TradBody::Decision { txn: ts, commit });
                         }
                         ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
                     }
                     Some((CoordPhase::PreCommitting, pending)) => {
                         for site in pending {
-                            self.send(ctx, site, TradBody::PreCommit { txn: ts });
+                            self.send(site, TradBody::PreCommit { txn: ts });
                         }
                         ctx.set_timer(self.cfg.retry_every, TAG_DECISION_RETRY | ts.0);
                     }
@@ -1141,7 +1100,7 @@ impl Node for TradNode {
                     }
                 });
                 if let Some((coordinator, peers, precommitted, attempts)) = info {
-                    self.send(ctx, coordinator, TradBody::DecisionQuery { txn: ts });
+                    self.send(coordinator, TradBody::DecisionQuery { txn: ts });
                     match self.cfg.protocol {
                         CommitProtocol::TwoPhase => {
                             // 2PC: nothing else is safe — keep asking
@@ -1160,7 +1119,7 @@ impl Node for TradNode {
                                 self.resolve_locally(ts, precommitted, ctx);
                             } else {
                                 for peer in peers {
-                                    self.send(ctx, peer, TradBody::StateQuery { txn: ts });
+                                    self.send(peer, TradBody::StateQuery { txn: ts });
                                 }
                                 ctx.set_timer(
                                     self.cfg.retry_every.saturating_mul(2),
@@ -1259,7 +1218,7 @@ impl Node for TradNode {
                 },
             );
             self.metrics.recovery_remote_messages += 1;
-            self.send(ctx, coordinator as usize, TradBody::DecisionQuery { txn });
+            self.send(coordinator as usize, TradBody::DecisionQuery { txn });
             ctx.set_timer(
                 self.cfg.retry_every.saturating_mul(2),
                 TAG_QUERY_RETRY | txn.0,

@@ -1,7 +1,6 @@
 //! Ablation benchmarks for the design choices DESIGN.md §5 calls out:
-//! refill policy, fan-out, ack eagerness, Vm window, wire coalescing,
-//! and timeout. Each
-//! benchmark times the same workload under one knob's settings; the
+//! refill policy, fan-out, ack eagerness, Vm window, timeout and
+//! placement. Each benchmark times the same workload under one knob's settings; the
 //! *metric* deltas (requests, frames, aborts) are printed once per
 //! setting via `eprintln!` so `cargo bench` output doubles as the
 //! ablation table.
@@ -101,7 +100,6 @@ fn ablate_acks_and_window(c: &mut Criterion) {
             vm: VmConfig {
                 window: 16,
                 eager_acks: eager,
-                ..VmConfig::default()
             },
             ..Default::default()
         };
@@ -117,7 +115,6 @@ fn ablate_acks_and_window(c: &mut Criterion) {
             vm: VmConfig {
                 window,
                 eager_acks: true,
-                ..VmConfig::default()
             },
             ..Default::default()
         };
@@ -128,26 +125,6 @@ fn ablate_acks_and_window(c: &mut Criterion) {
         );
         g.bench_function(format!("window_{window}"), |b| {
             b.iter(|| dvp(&w, site, lossy.clone()))
-        });
-    }
-    g.finish();
-}
-
-fn ablate_coalesce(c: &mut Criterion) {
-    let mut g = c.benchmark_group("ablation_coalesce");
-    let w = hub_workload();
-    for (coalesce, name) in [(true, "coalesced"), (false, "per_frame")] {
-        let site = SiteConfig {
-            coalesce,
-            ..Default::default()
-        };
-        let r = dvp(&w, site, NetworkConfig::reliable());
-        eprintln!(
-            "[ablation coalesce={name}] commits={} messages={} frames={} datagrams={} wire_bytes={}",
-            r.committed, r.messages, r.frames, r.datagrams, r.wire_bytes
-        );
-        g.bench_function(name, |b| {
-            b.iter(|| dvp(&w, site, NetworkConfig::reliable()))
         });
     }
     g.finish();
@@ -203,6 +180,6 @@ fn ablate_placement(c: &mut Criterion) {
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(200));
-    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_coalesce, ablate_timeout, ablate_placement
+    targets = ablate_refill, ablate_fanout, ablate_acks_and_window, ablate_timeout, ablate_placement
 );
 criterion_main!(benches);

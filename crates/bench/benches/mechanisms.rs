@@ -112,6 +112,7 @@ fn bench_vm(c: &mut Criterion) {
                         r.commit_accept(0, seq);
                     }
                 }
+                r.flush_owed_ack(0);
                 for (_, f) in r.drain_outbox() {
                     s.on_frame(1, f);
                 }
@@ -126,13 +127,15 @@ fn bench_vm(c: &mut Criterion) {
             VmConfig {
                 window: 64,
                 eager_acks: true,
-                ..VmConfig::default()
             },
         );
         for _ in 0..32 {
             let _ = s.create(1, Bytes::from_static(b"x"));
         }
         s.drain_outbox();
+        // Lift the fresh frames' one-tick retransmit grace, so every
+        // timed tick retransmits all 32.
+        s.tick();
         b.iter(|| {
             s.tick();
             s.drain_outbox()

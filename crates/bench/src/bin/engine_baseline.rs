@@ -1,6 +1,6 @@
 //! Engine throughput baseline: closed-loop DvP and 2PC runs over the
 //! banking, airline, and hotspot-drift workloads, written to
-//! `BENCH_engine.json` (path overridable as argv[1]).
+//! `BENCH_engine.json` (path overridable as `argv[1]`).
 //!
 //! Where `kernel_baseline` measures the simulation kernel, this measures
 //! the *transaction engines* end to end: every scripted transaction is

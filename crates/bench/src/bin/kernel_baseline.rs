@@ -1,5 +1,5 @@
 //! Kernel throughput baseline: wall-clock events/sec for three scenario
-//! shapes, written to `BENCH_kernel.json` (path overridable as argv[1]).
+//! shapes, written to `BENCH_kernel.json` (path overridable as `argv[1]`).
 //!
 //! The three shapes stress different kernel paths:
 //! * `reliable_ping_pong` — pure message hot path: enqueue, dequeue,

@@ -381,10 +381,6 @@ pub struct SiteConfig {
     pub placement: Placement,
     /// Concurrency-control scheme.
     pub conc: ConcMode,
-    /// How long a donor's read lease pins the drained item. Must exceed
-    /// the requester's `txn_timeout` (plus delays) for committed reads to
-    /// be exact; the constructor enforces 2×.
-    pub read_lease: SimDuration,
     /// Vm-layer knobs (window, eager acks).
     pub vm: VmConfig,
     /// Extra solicitation rounds before the timeout aborts (the paper's
@@ -410,26 +406,6 @@ pub struct SiteConfig {
     /// shrinker demo uses this to show a fault campaign minimizing to a
     /// single crash event.
     pub unsafe_skip_recovery_redo: bool,
-    /// Group commit: defer log forces to the per-dispatch flush boundary
-    /// so every record appended while handling one event is hardened by a
-    /// single `force` — still *before* any outbound frame leaves the site,
-    /// preserving the paper's force-before-send discipline (§3–4). Off
-    /// reproduces the original per-record forcing (and its per-record
-    /// `LogForce` obs stream, which the golden-trace tests pin).
-    pub group_commit: bool,
-    /// Link-level coalescing: at each flush boundary every Vm frame bound
-    /// for one peer leaves as a single wire datagram (length-prefixed
-    /// frame sequence, payloads shared not copied), and standalone acks
-    /// become *owed* acks that piggyback on a data datagram of the same
-    /// flush or leave as one ack-only datagram per peer at its end — the
-    /// instant the per-frame wire would have sent them. The
-    /// force-before-send discipline holds per datagram: the flush forces
-    /// the log once, then drains. Off reproduces the original one-transmission-per-frame
-    /// wire behaviour byte-for-byte (golden-trace pinned, like
-    /// [`group_commit`](Self::group_commit)). Availability hints ride
-    /// only on coalesced datagrams, so adaptive placement wants this on
-    /// (the default).
-    pub coalesce: bool,
     /// Nemesis fault injection (crashpoints, torn log writes). Defaults to
     /// fully disabled.
     pub inject: InjectConfig,
@@ -437,20 +413,16 @@ pub struct SiteConfig {
 
 impl Default for SiteConfig {
     fn default() -> Self {
-        let txn_timeout = SimDuration::millis(50);
         SiteConfig {
-            txn_timeout,
+            txn_timeout: SimDuration::millis(50),
             retransmit_every: SimDuration::millis(10),
             placement: Placement::default(),
             conc: ConcMode::Conc1,
-            read_lease: txn_timeout.saturating_mul(2),
             vm: VmConfig::default(),
             solicit_retries: 0,
             checkpoint_every: None,
             unsafe_skip_read_drain_gate: false,
             unsafe_skip_recovery_redo: false,
-            group_commit: true,
-            coalesce: true,
             inject: InjectConfig::default(),
         }
     }
@@ -464,11 +436,18 @@ impl SiteConfig {
         }
     }
 
-    /// Set the transaction timeout, keeping the read lease at 2× it.
+    /// Set the transaction timeout (the read lease follows it).
     pub fn with_timeout(mut self, t: SimDuration) -> Self {
         self.txn_timeout = t;
-        self.read_lease = t.saturating_mul(2);
         self
+    }
+
+    /// How long a donor's read lease pins the drained item: 2× the
+    /// timeout. It must exceed the requester's `txn_timeout` (plus
+    /// delays) for committed reads to be exact, so it is derived from
+    /// the timeout rather than set on its own.
+    pub fn read_lease(&self) -> SimDuration {
+        self.txn_timeout.saturating_mul(2)
     }
 }
 
@@ -489,8 +468,8 @@ pub struct SiteConfigBuilder {
 }
 
 impl SiteConfigBuilder {
-    /// Transaction timeout; the read lease follows at 2× (override it
-    /// afterwards with [`read_lease`](Self::read_lease) if needed).
+    /// Transaction timeout; the read lease follows at 2×
+    /// ([`SiteConfig::read_lease`]).
     pub fn timeout(mut self, t: SimDuration) -> Self {
         self.cfg = self.cfg.with_timeout(t);
         self
@@ -514,13 +493,6 @@ impl SiteConfigBuilder {
         self
     }
 
-    /// Read-lease duration (defaults to 2× the timeout; must exceed the
-    /// requester's decision bound for reads to stay exact).
-    pub fn read_lease(mut self, t: SimDuration) -> Self {
-        self.cfg.read_lease = t;
-        self
-    }
-
     /// Vm-layer knobs (window, eager acks).
     pub fn vm(mut self, vm: VmConfig) -> Self {
         self.cfg.vm = vm;
@@ -537,18 +509,6 @@ impl SiteConfigBuilder {
     /// records.
     pub fn checkpoint_every(mut self, n: usize) -> Self {
         self.cfg.checkpoint_every = Some(n);
-        self
-    }
-
-    /// Group commit on/off (off = per-record forcing, golden-pinned).
-    pub fn group_commit(mut self, on: bool) -> Self {
-        self.cfg.group_commit = on;
-        self
-    }
-
-    /// Link-level coalescing on/off (off = per-frame wire, golden-pinned).
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.cfg.coalesce = on;
         self
     }
 
@@ -605,7 +565,7 @@ mod tests {
     #[test]
     fn default_config_is_consistent() {
         let c = SiteConfig::default();
-        assert!(c.read_lease >= c.txn_timeout.saturating_mul(2));
+        assert!(c.read_lease() >= c.txn_timeout.saturating_mul(2));
         assert!(c.retransmit_every < c.txn_timeout);
     }
 
@@ -613,7 +573,16 @@ mod tests {
     fn with_timeout_scales_lease() {
         let c = SiteConfig::default().with_timeout(SimDuration::millis(20));
         assert_eq!(c.txn_timeout, SimDuration::millis(20));
-        assert_eq!(c.read_lease, SimDuration::millis(40));
+        assert_eq!(c.read_lease(), SimDuration::millis(40));
+    }
+
+    #[test]
+    fn struct_literal_timeout_scales_lease() {
+        let c = SiteConfig {
+            txn_timeout: SimDuration::millis(500),
+            ..Default::default()
+        };
+        assert_eq!(c.read_lease(), SimDuration::millis(1000));
     }
 
     #[test]
@@ -659,14 +628,12 @@ mod tests {
             .conc(ConcMode::Conc2)
             .solicit_retries(2)
             .checkpoint_every(24)
-            .coalesce(false)
             .build();
         assert_eq!(cfg.txn_timeout, SimDuration::millis(20));
-        assert_eq!(cfg.read_lease, SimDuration::millis(40));
+        assert_eq!(cfg.read_lease(), SimDuration::millis(40));
         assert_eq!(cfg.conc, ConcMode::Conc2);
         assert_eq!(cfg.solicit_retries, 2);
         assert_eq!(cfg.checkpoint_every, Some(24));
-        assert!(!cfg.coalesce);
         assert_eq!(cfg.placement.adaptive_params().unwrap().max_hints, 4);
     }
 }

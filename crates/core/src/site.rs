@@ -49,7 +49,7 @@ use dvp_storage::{
     StableLog, TornWrite,
 };
 use dvp_vmsg::codec::frame_wire_len;
-use dvp_vmsg::{ChannelSnapshot, Frame, Receipt, Seq, VmConfig, VmEndpoint, VmLogOp, WireDatagram};
+use dvp_vmsg::{ChannelSnapshot, Frame, Receipt, Seq, VmEndpoint, VmLogOp, WireDatagram};
 use std::collections::{BTreeMap, VecDeque};
 
 // Timer-tag kinds (top byte).
@@ -66,11 +66,13 @@ const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
 /// Body of a protocol message.
 #[derive(Clone, Debug)]
 pub enum Body {
-    /// A Vm-layer frame (value transfer or ack).
+    /// A single Vm-layer frame (value transfer or ack). Never sent by the
+    /// engine, which ships every frame inside a [`Body::VmDatagram`]; the
+    /// receive path still accepts it.
     Vm(Frame),
     /// A coalesced wire datagram: every Vm frame bound for the receiver
     /// at one flush boundary, encoded as a single length-prefixed frame
-    /// sequence ([`SiteConfig::coalesce`]). Loss, duplication, and
+    /// sequence. Loss, duplication, and
     /// reordering apply to the whole datagram — per-frame Vm semantics
     /// are unaffected because every frame is individually retransmitted
     /// until cumulatively acked.
@@ -358,7 +360,6 @@ pub struct SiteNode {
     last_replayed: u64,
     /// Reusable flush buffers: the endpoint's queues are drained into
     /// these (append + drain) so the steady state allocates nothing.
-    outbox_scratch: Vec<(NodeId, Frame)>,
     completed_scratch: Vec<(NodeId, Seq)>,
     datagram_scratch: Vec<(NodeId, WireDatagram)>,
     freed_scratch: Vec<ItemId>,
@@ -380,11 +381,11 @@ pub struct SiteNode {
     ship_scratch: Vec<Ship>,
     solicit_deficits_scratch: Vec<(ItemId, Qty)>,
     solicit_reads_scratch: Vec<ItemId>,
-    /// Group commit: a record that per-record forcing would have forced
-    /// inline was appended during this dispatch, so the flush boundary
-    /// owes one coalesced force. Stays `false` across ack-only dispatches
-    /// — lazy `AckObserved` notes ride along with the next real force,
-    /// exactly as they did under per-record forcing.
+    /// Group commit: a record that must be durable before the next frame
+    /// leaves (Rds, accept, commit) was appended during this dispatch,
+    /// so the flush boundary owes one coalesced force. Stays `false`
+    /// across ack-only dispatches — lazy `AckObserved` notes ride along
+    /// with the next real force.
     needs_flush: bool,
 }
 
@@ -427,7 +428,7 @@ impl SiteNode {
             clock: LamportClock::new(id),
             frags,
             locks: LockTable::new(),
-            vm: VmEndpoint::new(id, Self::vm_config(&cfg)),
+            vm: VmEndpoint::new(id, cfg.vm),
             log,
             checkpoint: CheckpointSlot::new(),
             script,
@@ -450,7 +451,6 @@ impl SiteNode {
             metrics: SiteMetrics::default(),
             obs: Obs::disabled(),
             last_replayed: 0,
-            outbox_scratch: Vec::new(),
             completed_scratch: Vec::new(),
             datagram_scratch: Vec::new(),
             freed_scratch: Vec::new(),
@@ -505,17 +505,6 @@ impl SiteNode {
         match self.active.binary_search_by_key(&ts, |e| e.0) {
             Ok(_) => debug_assert!(false, "duplicate active txn {ts:?}"),
             Err(i) => self.active.insert(i, (ts, txn)),
-        }
-    }
-
-    /// The endpoint-level Vm config: the site's `vm` knobs with the
-    /// link-level coalescing flag merged in (`SiteConfig::coalesce` is
-    /// the host-facing switch; the endpoint default keeps the layer
-    /// standalone).
-    fn vm_config(cfg: &SiteConfig) -> VmConfig {
-        VmConfig {
-            coalesce: cfg.coalesce,
-            ..cfg.vm
         }
     }
 
@@ -612,19 +601,8 @@ impl SiteNode {
         ctx.send_frames_bytes(to, msg, 1, bytes);
     }
 
-    /// A record that per-record forcing hardened inline was just appended:
-    /// force now, or (group commit) note that this dispatch's flush
-    /// boundary owes a single coalesced force.
-    fn force_record(&mut self) {
-        if self.cfg.group_commit {
-            self.needs_flush = true;
-        } else {
-            self.log.force();
-        }
-    }
-
     /// Drain every queued Vm frame into per-peer wire datagrams and put
-    /// them on the wire (coalescing mode only).
+    /// them on the wire.
     fn send_vm_datagrams(&mut self, ctx: &mut Context<'_, ProtoMsg>) {
         let mut dgrams = std::mem::take(&mut self.datagram_scratch);
         let now_us = ctx.now().micros();
@@ -654,46 +632,36 @@ impl SiteNode {
         // Group commit: a single force here hardens every record appended
         // while handling the current event — *before* any frame leaves the
         // site, so the paper's force-before-send discipline is intact. The
-        // force runs only when the dispatch appended a record per-record
-        // forcing would have forced (`needs_flush`); ack-only dispatches
-        // stay lazy, and a clean tail elides the force entirely.
-        if self.cfg.group_commit && self.needs_flush {
+        // force runs only when the dispatch appended a record that must be
+        // durable (`needs_flush`); ack-only dispatches stay lazy, and a
+        // clean tail elides the force entirely.
+        if self.needs_flush {
             self.log.force_if_dirty();
             self.needs_flush = false;
         }
-        if self.cfg.coalesce {
-            // Refresh the availability gossip riding whatever leaves now
-            // (free: hints piggyback on datagrams that exist anyway; the
-            // placer rate-limits the recompute itself).
-            self.placer.refresh_hints(ctx.now().micros(), &self.frags);
-            // One wire datagram per peer per flush: every queued frame
-            // toward a peer rides a single transmission, with owed acks
-            // folded in. The force above already hardened everything the
-            // datagram carries — force-before-send at datagram granularity.
+        // Refresh the availability gossip riding whatever leaves now
+        // (free: hints piggyback on datagrams that exist anyway; the
+        // placer rate-limits the recompute itself).
+        self.placer.refresh_hints(ctx.now().micros(), &self.frags);
+        // One wire datagram per peer per flush: every queued frame
+        // toward a peer rides a single transmission, with owed acks
+        // folded in. The force above already hardened everything the
+        // datagram carries — force-before-send at datagram granularity.
+        self.send_vm_datagrams(ctx);
+        // Acks still owed found no data to piggyback on. They leave right
+        // now, in this same dispatch, as ack-only datagrams, so ack timing
+        // (and with it window advance and borderline txn timeouts) never
+        // waits on later traffic.
+        let mut owed = std::mem::take(&mut self.owed_scratch);
+        owed.clear();
+        owed.extend(self.vm.owed_ack_peers());
+        if !owed.is_empty() {
+            for &peer in &owed {
+                self.vm.flush_owed_ack(peer);
+            }
             self.send_vm_datagrams(ctx);
-            // Acks still owed found no data to piggyback on. They leave
-            // right now, in this same dispatch, as ack-only datagrams —
-            // the exact instant the per-frame wire would have sent them,
-            // so ack timing (and with it window advance and borderline
-            // txn timeouts) cannot shift.
-            let mut owed = std::mem::take(&mut self.owed_scratch);
-            owed.clear();
-            owed.extend(self.vm.owed_ack_peers());
-            if !owed.is_empty() {
-                for &peer in &owed {
-                    self.vm.flush_owed_ack(peer);
-                }
-                self.send_vm_datagrams(ctx);
-            }
-            self.owed_scratch = owed;
-        } else {
-            let mut outbox = std::mem::take(&mut self.outbox_scratch);
-            self.vm.drain_outbox_into(&mut outbox);
-            for (to, frame) in outbox.drain(..) {
-                self.send(ctx, to, Body::Vm(frame));
-            }
-            self.outbox_scratch = outbox;
         }
+        self.owed_scratch = owed;
         let mut completed = std::mem::take(&mut self.completed_scratch);
         self.vm.drain_completed_into(&mut completed);
         let mut freed_items = std::mem::take(&mut self.freed_scratch);
@@ -1146,20 +1114,18 @@ impl SiteNode {
             .map(|item| (item, self.frags.get(item)))
             .collect();
 
-        // Step 5: the forced commit record IS the commit point. Under
-        // group commit the force is deferred to this dispatch's flush
-        // boundary — still before any frame leaves the site, and crashes
-        // only arrive between dispatches, so the commit point moves within
-        // the same indivisible instant of simulated time.
-        if self.cfg.group_commit
-            && self.cfg.inject.crashpoint == Some(Crashpoint::AfterAppendBeforeForce)
+        // Step 5: the forced commit record IS the commit point. The force
+        // is deferred to this dispatch's flush boundary (group commit) —
+        // still before any frame leaves the site, and crashes only arrive
+        // between dispatches, so the commit point moves within the same
+        // indivisible instant of simulated time.
+        if self.cfg.inject.crashpoint == Some(Crashpoint::AfterAppendBeforeForce)
             && self.id == self.cfg.inject.victim
             && !self.crashpoint_tripped
         {
-            // Pin the crashpoint's contract under group commit: records
-            // appended earlier in this dispatch harden now, so the trip
-            // below kills exactly the Commit record it names — as the
-            // per-record forcing it was specified against would have.
+            // Pin the crashpoint's contract: records appended earlier in
+            // this dispatch harden now, so the trip below kills exactly
+            // the Commit record it names.
             self.log.force_if_dirty();
         }
         self.log.append(SiteRecord::Commit {
@@ -1169,13 +1135,13 @@ impl SiteNode {
         if self.crashpoint(ctx, Crashpoint::AfterAppendBeforeForce) {
             // Crash with the Commit record appended but unforced: the
             // record dies with the tail, so the transaction must *not*
-            // survive recovery (it never reached its commit point). Under
-            // group commit `crash_pending` makes the flush skip its force,
-            // preserving exactly this outcome.
+            // survive recovery (it never reached its commit point).
+            // `crash_pending` makes the flush skip its force, preserving
+            // exactly this outcome.
             self.deltas_scratch = deltas;
             return;
         }
-        self.force_record();
+        self.needs_flush = true;
 
         // Step 6: install and note installation.
         for &(item, delta) in deltas.iter() {
@@ -1428,25 +1394,24 @@ impl SiteNode {
             _ => unreachable!("create returns Created"),
         };
         // The [database-actions, message-sequence] record, forced — the Vm
-        // exists from this instant (under group commit: from this
-        // dispatch's flush boundary, still ahead of the frame).
+        // exists from this dispatch's flush boundary, still ahead of the
+        // frame.
         self.log.append(SiteRecord::Rds {
             txn,
             actions: DbActions::one((item, -(amount as i64))),
             vm_ops: vec![op],
         });
-        if self.cfg.group_commit
-            && self.cfg.inject.crashpoint == Some(Crashpoint::AfterForceBeforeSend)
+        if self.cfg.inject.crashpoint == Some(Crashpoint::AfterForceBeforeSend)
             && self.id == self.cfg.inject.victim
             && !self.crashpoint_tripped
         {
             // The crashpoint names the instant *after* the force: honour
-            // its contract under group commit by forcing eagerly on the
-            // armed path. Forcing the whole tail early is always safe —
-            // only *missing* forces endanger durability.
+            // its contract by forcing eagerly on the armed path. Forcing
+            // the whole tail early is always safe — only *missing* forces
+            // endanger durability.
             self.log.force();
         } else {
-            self.force_record();
+            self.needs_flush = true;
         }
         if self.crashpoint(ctx, Crashpoint::AfterForceBeforeSend) {
             // Crash with the Rds record forced but the Vm frame never
@@ -1471,7 +1436,7 @@ impl SiteNode {
             self.locks
                 .try_lock(item, Holder::Lease(txn))
                 .expect("item was free");
-            let timer = ctx.set_timer(self.cfg.read_lease, TAG_LEASE | item.0 as u64);
+            let timer = ctx.set_timer(self.cfg.read_lease(), TAG_LEASE | item.0 as u64);
             self.lease_timers[Self::di(item)] = Some(timer);
         }
         self.flush_vm(ctx);
@@ -1550,7 +1515,7 @@ impl SiteNode {
             actions: DbActions::one((item, -(amount as i64))),
             vm_ops: vec![op],
         });
-        self.force_record();
+        self.needs_flush = true;
         self.frags.debit(item, amount);
         self.bump_outstanding(item);
         self.vm_item.insert((to, seq), item);
@@ -1633,10 +1598,10 @@ impl SiteNode {
             actions: DbActions::one((transfer.item, transfer.amount as i64)),
             vm_ops: vec![op],
         });
-        // The acceptance must be durable before our ack frame leaves —
-        // under group commit the flush forces ahead of the outbox drain,
-        // so the (durable-accept → ack) order still holds.
-        self.force_record();
+        // The acceptance must be durable before our ack frame leaves: the
+        // flush forces ahead of the outbox drain, so the (durable-accept →
+        // ack) order holds.
+        self.needs_flush = true;
         self.frags.credit(transfer.item, transfer.amount);
         self.frags.bump_ts(transfer.item, transfer.for_txn);
         self.metrics.absorbed += 1;
@@ -1826,7 +1791,7 @@ impl SiteNode {
     /// storage.
     pub fn rebuilt_durable_state(&self) -> (FragmentStore, VmEndpoint) {
         let mut frags = FragmentStore::new(self.frags.len());
-        let mut vm = VmEndpoint::new(self.id, Self::vm_config(&self.cfg));
+        let mut vm = VmEndpoint::new(self.id, self.cfg.vm);
         if let Some(cp) = self.checkpoint.load() {
             frags.restore(&cp.snapshot.frag_vals, &cp.snapshot.frag_ts);
             vm.restore(&cp.snapshot.vm);

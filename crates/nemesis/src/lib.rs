@@ -15,7 +15,7 @@
 //!
 //! * [`schedule`] — the typed [`FaultSchedule`] (a list of
 //!   [`FaultEvent`]s), its translation onto cluster knobs, and its digest;
-//! * [`generate`] — the seeded generator with tunable [`Intensity`]
+//! * [`generate`](mod@generate) — the seeded generator with tunable [`Intensity`]
 //!   (whose legacy profile reproduces the T5 experiment's fault
 //!   environment byte-for-byte);
 //! * [`oracle`] — conservation, Vm channel sanity, read exactness, and

@@ -115,11 +115,11 @@ pub fn check_rebuild(cl: &Cluster) -> Result<(), Violation> {
         let id = site.id();
         let (frags, vm) = site.rebuilt_durable_state();
         // Fragment values: every mutation's record is forced no later than
-        // the flush boundary of the dispatch that applied it (inline
-        // per-record forces, or one group-commit force before any frame
-        // leaves), and audits only run between dispatches — so live and
-        // rebuilt values must agree exactly. (Timestamps are excluded:
-        // `bump_ts` at lock time is deliberately unlogged.)
+        // the flush boundary of the dispatch that applied it (one
+        // group-commit force before any frame leaves), and audits only run
+        // between dispatches — so live and rebuilt values must agree
+        // exactly. (Timestamps are excluded: `bump_ts` at lock time is
+        // deliberately unlogged.)
         for item in 0..site.fragments().len() {
             let item = dvp_core::ItemId(item as u32);
             let live = site.fragments().get(item);

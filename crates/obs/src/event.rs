@@ -132,8 +132,7 @@ pub enum EventKind {
         /// True for retransmissions.
         retransmit: bool,
         /// Wire datagram the frame rides in (per-(site, peer) sequence
-        /// number; 0 when link-level coalescing is off — the field is
-        /// then omitted from the JSONL encoding).
+        /// number, 1-based; a 0 id is omitted from the JSONL encoding).
         datagram: u64,
     },
     /// A Vm frame arrived and was classified by the receive window.
@@ -144,8 +143,9 @@ pub enum EventKind {
         vseq: u64,
         /// Receipt class: "fresh", "duplicate", "out_of_order".
         receipt: &'static str,
-        /// Wire datagram the frame arrived in (0 = non-coalesced frame;
-        /// omitted from the JSONL encoding).
+        /// Wire datagram the frame arrived in (0 = a frame outside any
+        /// datagram, which the engine never sends; omitted from the JSONL
+        /// encoding).
         datagram: u64,
     },
     /// A cumulative ack left this site.
@@ -155,8 +155,8 @@ pub enum EventKind {
         /// Everything ≤ this vseq is acknowledged.
         upto: u64,
         /// Wire datagram carrying the ack — the one it piggybacks on, or
-        /// the ack-only datagram the flush sends for it (0 =
-        /// non-coalesced standalone frame; omitted from the encoding).
+        /// the ack-only datagram the flush sends for it (a 0 id is
+        /// omitted from the encoding).
         datagram: u64,
     },
 
@@ -346,8 +346,8 @@ impl Event {
                     s,
                     ",\"to\":{to},\"vseq\":{vseq},\"retransmit\":{retransmit}"
                 );
-                // Only coalesced traffic has a datagram id; omitting the
-                // field otherwise keeps pre-coalescing traces bytewise.
+                // A zero id (no datagram) omits the field, as in traces
+                // recorded before datagrams existed.
                 if *datagram != 0 {
                     let _ = write!(s, ",\"datagram\":{datagram}");
                 }

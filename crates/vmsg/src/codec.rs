@@ -1,9 +1,8 @@
 //! Zero-copy wire codec for coalesced datagrams.
 //!
-//! A [`WireDatagram`] is the unit the host puts on the network when
-//! [`coalesce`](crate::endpoint::VmConfig::coalesce) is on: every frame
-//! bound for one peer at one flush boundary, encoded as a length-prefixed
-//! frame sequence. Encoding is **scatter-gather**: header and per-frame
+//! A [`WireDatagram`] is the unit the host puts on the network: every
+//! frame bound for one peer at one flush boundary, encoded as a
+//! length-prefixed frame sequence. Encoding is **scatter-gather**: header and per-frame
 //! metadata go into small owned segments, while each `Data` payload is
 //! appended as its own refcounted [`Bytes`] segment — a payload is never
 //! copied on the way out. Decoding slices payloads back out of the

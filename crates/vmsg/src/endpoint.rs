@@ -18,19 +18,14 @@ pub struct VmConfig {
     /// sliding-window size; creation is never limited — Vms beyond the
     /// window simply wait durably for earlier ones to be acked).
     pub window: usize,
-    /// Send a standalone `Ack` frame immediately upon accepting or upon
-    /// seeing a duplicate, instead of waiting for reverse traffic to
-    /// piggyback on. Costs messages, cuts sender-state lifetime (ablation
-    /// knob; the paper assumes piggybacking only).
+    /// Owe an ack immediately upon accepting or upon seeing a duplicate,
+    /// instead of waiting for reverse traffic to piggyback on. An owed
+    /// ack folds into the next outgoing [`WireDatagram`] toward the peer,
+    /// or the host flushes it standalone via
+    /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack). Costs messages,
+    /// cuts sender-state lifetime (ablation knob; the paper assumes
+    /// piggybacking only).
     pub eager_acks: bool,
-    /// Link-level coalescing: instead of one wire message per frame, the
-    /// host drains [`drain_datagrams_into`](VmEndpoint::drain_datagrams_into)
-    /// — one [`WireDatagram`] per peer per flush boundary — and eager
-    /// acks become *owed* acks that fold into the next outgoing datagram
-    /// (or are flushed standalone by the host via
-    /// [`flush_owed_ack`](VmEndpoint::flush_owed_ack)). Off by default at
-    /// this layer so the endpoint stands alone; hosts that batch opt in.
-    pub coalesce: bool,
 }
 
 impl Default for VmConfig {
@@ -38,7 +33,6 @@ impl Default for VmConfig {
         VmConfig {
             window: 16,
             eager_acks: true,
-            coalesce: false,
         }
     }
 }
@@ -92,7 +86,8 @@ pub enum Receipt {
 ///         let _accepted = receiver.commit_accept(0, seq); // log this too
 ///     }
 /// }
-/// // ...and let the ack complete the lifecycle.
+/// // ...and let the (owed) ack complete the lifecycle.
+/// receiver.flush_owed_ack(0);
 /// for (_, frame) in receiver.drain_outbox() {
 ///     sender.on_frame(1, frame);
 /// }
@@ -119,18 +114,18 @@ pub struct VmEndpoint {
     outbox: Vec<(SiteId, Frame)>,
     /// Vms whose lifecycle completed since the last drain (peer, seq).
     completed: Vec<(SiteId, Seq)>,
-    /// Peers owed a standalone ack (coalesce mode only): the ack rides
-    /// the next data datagram that way, or the host flushes it.
+    /// Peers owed a standalone ack: the ack rides the next data datagram
+    /// that way, or the host flushes it.
     ack_owed: Vec<bool>,
-    /// Next outgoing datagram id per peer (coalesce mode only; ids are
-    /// 1-based and per-(site, peer)). Survives `crash_reset`.
+    /// Next outgoing datagram id per peer (ids are 1-based and
+    /// per-(site, peer)). Survives `crash_reset`.
     next_datagram: Vec<u64>,
     /// Per-peer regroup buffers for `drain_datagrams_into`: frames are
     /// bucketed here per flush and the buffers' allocations are kept
     /// across flushes (always empty between calls).
     groups: Vec<Vec<Frame>>,
     /// Id of the incoming datagram currently being processed (set by
-    /// [`begin_datagram`](Self::begin_datagram); 0 = non-coalesced frame).
+    /// [`begin_datagram`](Self::begin_datagram); 0 before the first).
     in_datagram: u64,
     /// Reused per-datagram buffer the host fills with the availability
     /// hints that datagram carries (see
@@ -348,37 +343,21 @@ impl VmEndpoint {
         self.chan_ref(peer).map_or(0, |c| c.accepted_in)
     }
 
+    /// Mark the ack toward `peer` *owed*. It folds into the next outgoing
+    /// datagram toward `peer` (data frames always carry the current
+    /// cumulative ack), or the host flushes it standalone via
+    /// `flush_owed_ack`.
     fn queue_ack(&mut self, peer: SiteId) {
-        if self.cfg.coalesce {
-            // Mark the ack *owed*. It folds into the next outgoing
-            // datagram toward `peer` (data frames always carry the
-            // current cumulative ack), or the host flushes it standalone
-            // via `flush_owed_ack`.
-            self.ensure_peer(peer);
-            if self.ack_owed[peer] {
-                // Already owed: the cumulative cursor covers both
-                // obligations, so this second ack rides the pending one
-                // for free — one standalone frame (or one fold) now
-                // services two acks. Count the avoided frame.
-                self.stats.bytes_acked_piggyback += ACK_FRAME_LEN as u64;
-            } else {
-                self.ack_owed[peer] = true;
-            }
-            return;
+        self.ensure_peer(peer);
+        if self.ack_owed[peer] {
+            // Already owed: the cumulative cursor covers both
+            // obligations, so this second ack rides the pending one for
+            // free — one standalone frame (or one fold) now services two
+            // acks. Count the avoided frame.
+            self.stats.bytes_acked_piggyback += ACK_FRAME_LEN as u64;
+        } else {
+            self.ack_owed[peer] = true;
         }
-        let ack = {
-            let chan = self.chan(peer);
-            chan.ack_sent = chan.ack_sent.max(chan.accepted_in);
-            chan.accepted_in
-        };
-        self.outbox.push((peer, Frame::Ack { ack }));
-        self.stats.ack_frames_sent += 1;
-        self.stats.bytes_sent += ACK_FRAME_LEN as u64;
-        self.obs.emit_with(self.me as u32, || EventKind::VmAck {
-            to: peer as u32,
-            upto: ack,
-            datagram: 0,
-        });
     }
 
     // ---- retransmission ----------------------------------------------------
@@ -411,11 +390,7 @@ impl VmEndpoint {
             let chan = slot.as_mut().expect("dirty channels exist");
             let base = chan.acked_out;
             let ack = chan.accepted_in;
-            let datagram = if cfg.coalesce {
-                next_datagram[peer] + 1
-            } else {
-                0
-            };
+            let datagram = next_datagram[peer] + 1;
             let highest_sent = chan.highest_sent;
             let retx_before = chan.retx_before;
             let mut max_in_window = highest_sent;
@@ -425,13 +400,12 @@ impl VmEndpoint {
                 .take_while(|(&s, _)| s <= base + cfg.window as Seq)
             {
                 max_in_window = max_in_window.max(seq);
-                // Coalescing pacing: a frame first sent since the previous
+                // Retransmit pacing: a frame first sent since the previous
                 // tick gets one tick of grace — its ack may still be in
                 // flight, and retransmitting into that race only burns
-                // datagrams.
-                // First transmissions (frames the window just admitted)
-                // always go out.
-                if cfg.coalesce && seq <= highest_sent && seq > retx_before {
+                // datagrams. First transmissions (frames the window just
+                // admitted) always go out.
+                if seq <= highest_sent && seq > retx_before {
                     continue;
                 }
                 let frame = Frame::Data {
@@ -457,30 +431,22 @@ impl VmEndpoint {
         }
     }
 
-    /// Take all frames queued for transmission.
+    /// Take all frames queued for transmission, one by one. Hosts ship
+    /// frames in datagrams via
+    /// [`drain_datagrams_into`](Self::drain_datagrams_into); this
+    /// frame-level drain serves tests and simple harnesses, which call
+    /// [`flush_owed_ack`](Self::flush_owed_ack) first to queue owed acks.
     pub fn drain_outbox(&mut self) -> Vec<(SiteId, Frame)> {
         std::mem::take(&mut self.outbox)
     }
 
-    /// Move all queued frames into `out` (appending), keeping this
-    /// endpoint's outbox buffer allocated. Hot-path hosts drain into a
-    /// reusable scratch vector instead of taking a fresh `Vec` per
-    /// dispatch ([`drain_outbox`](Self::drain_outbox) stays for the
-    /// occasional callers and doc examples).
-    pub fn drain_outbox_into(&mut self, out: &mut Vec<(SiteId, Frame)>) {
-        out.append(&mut self.outbox);
-    }
-
     // ---- link-level coalescing ---------------------------------------------
 
-    /// The datagram id the next drained datagram toward `peer` will get
-    /// (0 when coalescing is off). Frames queued now ride exactly that
-    /// datagram — the host drains at every flush boundary — so `VmSend`
-    /// events can carry the id before the datagram is assembled.
+    /// The datagram id the next drained datagram toward `peer` will get.
+    /// Frames queued now ride exactly that datagram — the host drains at
+    /// every flush boundary — so `VmSend` events can carry the id before
+    /// the datagram is assembled.
     fn pending_datagram_id(&self, peer: SiteId) -> u64 {
-        if !self.cfg.coalesce {
-            return 0;
-        }
         self.next_datagram.get(peer).copied().unwrap_or(0) + 1
     }
 
@@ -793,8 +759,10 @@ mod tests {
         )
     }
 
-    /// Deliver every outbox frame of `a` to `b`, returning receipts.
+    /// Deliver every outbox frame of `a` to `b`, owed ack included,
+    /// returning receipts.
     fn flush(a: &mut VmEndpoint, b: &mut VmEndpoint) -> Vec<Receipt> {
+        a.flush_owed_ack(b.site());
         let frames = a.drain_outbox();
         frames
             .into_iter()
@@ -821,7 +789,7 @@ mod tests {
         let op = r.commit_accept(0, seq);
         assert_eq!(op, VmLogOp::Accepted { from: 0, seq: 1 });
 
-        // The eager ack flows back and releases the sender's state.
+        // The owed ack flows back and releases the sender's state.
         let receipts = flush(&mut r, &mut s);
         assert_eq!(receipts, vec![Receipt::AckOnly]);
         assert_eq!(s.in_flight_to(1), 0);
@@ -835,8 +803,14 @@ mod tests {
         let _op = s.create(1, b("x"));
         let _lost = s.drain_outbox(); // network eats the first copy
 
-        // Still outstanding, so a tick regenerates it.
+        // Still outstanding, so a tick regenerates it (the first tick only
+        // lifts the fresh frame's one-tick retransmit grace).
         assert!(s.has_outstanding());
+        s.tick();
+        assert!(
+            s.drain_outbox().is_empty(),
+            "grace tick retransmits nothing"
+        );
         s.tick();
         let receipts = flush(&mut s, &mut r);
         assert!(matches!(receipts[0], Receipt::Fresh { seq: 1, .. }));
@@ -858,12 +832,14 @@ mod tests {
             Receipt::Fresh { .. }
         ));
         r.commit_accept(0, 1);
+        r.flush_owed_ack(0);
         r.drain_outbox(); // discard the eager ack
 
         // The same frame arrives again (network duplication).
         assert_eq!(r.on_frame(0, frame), Receipt::Duplicate);
         assert_eq!(r.stats().duplicates_discarded, 1);
         // Duplicate triggered an ack refresh.
+        assert!(r.flush_owed_ack(0));
         let refreshed = r.drain_outbox();
         assert!(matches!(refreshed[0].1, Frame::Ack { ack: 1 }));
     }
@@ -878,7 +854,9 @@ mod tests {
         let (_, f2) = frames.into_iter().nth(1).unwrap();
         assert_eq!(r.on_frame(0, f2), Receipt::OutOfOrder);
         assert_eq!(r.ack_for(0), 0);
-        // Retransmission brings both, in order this time.
+        // Retransmission brings both, in order this time (after the
+        // one-tick grace).
+        s.tick();
         s.tick();
         let receipts = flush(&mut s, &mut r);
         assert!(matches!(receipts[0], Receipt::Fresh { seq: 1, .. }));
@@ -897,6 +875,7 @@ mod tests {
         let receipts = flush(&mut s, &mut r);
         assert!(matches!(receipts[0], Receipt::Fresh { .. }));
         // Cursor unmoved; retransmission redelivers as Fresh again.
+        s.tick();
         s.tick();
         let receipts = flush(&mut s, &mut r);
         assert!(matches!(receipts[0], Receipt::Fresh { seq: 1, .. }));
@@ -980,23 +959,24 @@ mod tests {
         s.drain_outbox(); // lose the original transmission
 
         assert!(s.has_outstanding());
+        s.tick(); // grace tick
         s.tick();
         let frames = s.drain_outbox();
         assert_eq!(frames.len(), 1, "only the in-flight Vm is retransmitted");
         assert_eq!(frames[0].0, 2);
-        assert_eq!(s.stats().idle_channels_skipped, 1, "channel to 1 skipped");
+        assert_eq!(
+            s.stats().idle_channels_skipped,
+            2,
+            "channel to 1 skipped on both ticks"
+        );
     }
 
     #[test]
-    fn drain_into_variants_reuse_caller_buffers() {
+    fn drain_completed_into_appends_to_caller_buffer() {
         let (mut s, mut r) = pair();
         let _ = s.create(1, b("x"));
-        let mut frames = Vec::with_capacity(8);
-        s.drain_outbox_into(&mut frames);
-        assert_eq!(frames.len(), 1);
-        for (to, f) in frames.drain(..) {
-            assert_eq!(to, 1);
-            if let Receipt::Fresh { seq, .. } = r.on_frame(0, f) {
+        for receipt in flush(&mut s, &mut r) {
+            if let Receipt::Fresh { seq, .. } = receipt {
                 r.commit_accept(0, seq);
             }
         }
@@ -1004,10 +984,8 @@ mod tests {
         let mut completed = Vec::new();
         s.drain_completed_into(&mut completed);
         assert_eq!(completed, vec![(1, 1)]);
-        // A second drain finds both endpoint buffers empty.
-        s.drain_outbox_into(&mut frames);
+        // A second drain finds the endpoint buffer empty.
         s.drain_completed_into(&mut completed);
-        assert!(frames.is_empty());
         assert_eq!(completed.len(), 1, "append semantics: caller clears");
     }
 
@@ -1071,8 +1049,10 @@ mod tests {
         for op in &accepted_ops {
             r.replay(op);
         }
-        // Sender retransmits; receiver must classify as duplicate, not
-        // re-apply (that would double-count the value!).
+        // Sender retransmits (after the one-tick grace); receiver must
+        // classify as duplicate, not re-apply (that would double-count
+        // the value!).
+        s.tick();
         s.tick();
         let receipts = flush(&mut s, &mut r);
         assert_eq!(receipts, vec![Receipt::Duplicate]);
@@ -1117,13 +1097,6 @@ mod tests {
         assert!(matches!(op, crate::VmLogOp::Created { seq: 3, .. }));
     }
 
-    fn coalescing_cfg() -> VmConfig {
-        VmConfig {
-            coalesce: true,
-            ..VmConfig::default()
-        }
-    }
-
     /// Deliver every drained datagram of `a` to `b`, returning receipts.
     fn flush_datagrams(a: &mut VmEndpoint, b: &mut VmEndpoint) -> Vec<Receipt> {
         let mut dgrams = Vec::new();
@@ -1142,7 +1115,7 @@ mod tests {
 
     #[test]
     fn coalesced_drain_builds_one_datagram_per_peer() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        let mut s = VmEndpoint::new(0, VmConfig::default());
         let _ = s.create(1, b("a"));
         let _ = s.create(2, b("b"));
         let _ = s.create(1, b("c"));
@@ -1173,8 +1146,8 @@ mod tests {
 
     #[test]
     fn coalesced_lifecycle_with_owed_ack_piggyback() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
-        let mut r = VmEndpoint::new(1, coalescing_cfg());
+        let mut s = VmEndpoint::new(0, VmConfig::default());
+        let mut r = VmEndpoint::new(1, VmConfig::default());
         let _ = s.create(1, b("x"));
         for receipt in flush_datagrams(&mut s, &mut r) {
             if let Receipt::Fresh { seq, .. } = receipt {
@@ -1217,8 +1190,8 @@ mod tests {
         // be counted as a saved standalone ack frame — this is the
         // dominant piggyback saving under datagram coalescing, where a
         // multi-frame datagram produces several accepts back to back.
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
-        let mut r = VmEndpoint::new(1, coalescing_cfg());
+        let mut s = VmEndpoint::new(0, VmConfig::default());
+        let mut r = VmEndpoint::new(1, VmConfig::default());
         let _ = s.create(1, b("a"));
         let _ = s.create(1, b("b"));
         let mut dgrams = Vec::new();
@@ -1259,7 +1232,7 @@ mod tests {
         // the saving the stat measures.
         let piggyback_only = || VmConfig {
             eager_acks: false,
-            ..coalescing_cfg()
+            ..VmConfig::default()
         };
         let mut s = VmEndpoint::new(0, piggyback_only());
         let mut r = VmEndpoint::new(1, piggyback_only());
@@ -1301,9 +1274,9 @@ mod tests {
     }
 
     #[test]
-    fn owed_ack_flushes_standalone_on_delayed_ack_timer() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
-        let mut r = VmEndpoint::new(1, coalescing_cfg());
+    fn owed_ack_flushes_standalone_without_reverse_traffic() {
+        let mut s = VmEndpoint::new(0, VmConfig::default());
+        let mut r = VmEndpoint::new(1, VmConfig::default());
         let _ = s.create(1, b("x"));
         for receipt in flush_datagrams(&mut s, &mut r) {
             if let Receipt::Fresh { seq, .. } = receipt {
@@ -1311,7 +1284,7 @@ mod tests {
             }
         }
         assert_eq!(r.owed_ack_peers().collect::<Vec<_>>(), vec![0]);
-        // No reverse traffic: the host's delayed-ack timer fires.
+        // No reverse traffic: the host flushes the owed ack standalone.
         assert!(r.flush_owed_ack(0));
         assert!(!r.flush_owed_ack(0), "second flush finds nothing owed");
         let mut dgrams = Vec::new();
@@ -1332,7 +1305,7 @@ mod tests {
 
     #[test]
     fn host_hint_blocks_ride_their_datagrams_and_are_counted() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        let mut s = VmEndpoint::new(0, VmConfig::default());
         let _ = s.create(1, b("a"));
         let _ = s.create(2, b("b"));
         let mut asked = Vec::new();
@@ -1367,7 +1340,7 @@ mod tests {
 
     #[test]
     fn datagram_ids_stay_monotone_across_crash() {
-        let mut s = VmEndpoint::new(0, coalescing_cfg());
+        let mut s = VmEndpoint::new(0, VmConfig::default());
         let op = s.create(1, b("a"));
         let mut dgrams = Vec::new();
         s.drain_datagrams_into(&mut dgrams, |_, _| {});

@@ -15,8 +15,8 @@
 //! Between those two instants the Vm "is never lost": the sender's durable
 //! state obliges it to retransmit until a cumulative acknowledgement
 //! covers the message. Acks are piggybacked on reverse traffic (and
-//! optionally sent eagerly as standalone frames — an ablation knob, see
-//! [`VmConfig::eager_acks`]).
+//! optionally owed eagerly, flushed as standalone frames when no reverse
+//! data carries them — an ablation knob, see [`VmConfig::eager_acks`]).
 //!
 //! ## Division of labour
 //!
@@ -26,9 +26,12 @@
 //!
 //! 1. calls [`VmEndpoint::create`] to mint a Vm, writes the returned
 //!    [`VmLogOp`] into *its own* stable log together with its database
-//!    actions, forces the log, then calls [`VmEndpoint::drain_outbox`] and
-//!    puts the frames on the wire;
-//! 2. feeds every arriving [`Frame`] to [`VmEndpoint::on_frame`]; a
+//!    actions, forces the log, then calls
+//!    [`VmEndpoint::drain_datagrams_into`] and puts one [`WireDatagram`]
+//!    per peer on the wire, followed by the ack-only datagrams of any
+//!    acks still owed ([`VmEndpoint::flush_owed_ack`]);
+//! 2. feeds every frame of an arriving datagram to
+//!    [`VmEndpoint::on_frame`] (after [`VmEndpoint::begin_datagram`]); a
 //!    [`Receipt::Fresh`] obliges the host to either *accept* (log
 //!    `[database-actions]` + [`VmLogOp::Accepted`], force, then call
 //!    [`VmEndpoint::commit_accept`]) or *ignore* (do nothing — the sender

@@ -26,11 +26,11 @@ pub struct VmStats {
     /// Channels a retransmit tick did *not* visit because they had no
     /// in-flight Vms (idle-aware retransmission).
     pub idle_channels_skipped: u64,
-    /// Coalesced wire datagrams put on the network (0 unless
-    /// [`coalesce`](crate::endpoint::VmConfig::coalesce) is on).
+    /// Coalesced wire datagrams built by
+    /// [`drain_datagrams_into`](crate::endpoint::VmEndpoint::drain_datagrams_into).
     pub datagrams_sent: u64,
     /// Total encoded wire bytes sent: every frame's encoded size, plus
-    /// one datagram header per datagram when coalescing.
+    /// one datagram header per datagram.
     pub bytes_sent: u64,
     /// Wire bytes *saved* by piggybacking acks — each saving is one
     /// avoided encoded standalone ack frame

@@ -11,7 +11,7 @@ pub fn vec<S: Strategy>(element: S, size: Range<usize>) -> VecStrategy<S> {
     VecStrategy { element, size }
 }
 
-/// Strategy returned by [`vec`].
+/// Strategy returned by [`vec`](fn@vec).
 pub struct VecStrategy<S> {
     element: S,
     size: Range<usize>,

@@ -52,7 +52,7 @@ proptest! {
     fn adversarial_schedules_never_lose_or_double_value(
         steps in proptest::collection::vec(step_strategy(), 1..120)
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, ..VmConfig::default() };
+        let cfg = VmConfig { window: 4, eager_acks: true };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         let mut wire = Wire::default();
@@ -92,6 +92,7 @@ proptest! {
                     }
                 }
                 Step::DeliverToSender { n, drop_mask } => {
+                    receiver.flush_owed_ack(0);
                     for (to, f) in receiver.drain_outbox() {
                         assert_eq!(to, 0);
                         wire.to_sender.push(f);
@@ -147,7 +148,7 @@ proptest! {
         crash_sender_at in 0usize..12,
         crash_receiver_at in 0usize..12,
     ) {
-        let cfg = VmConfig { window: 8, eager_acks: true, ..VmConfig::default() };
+        let cfg = VmConfig { window: 8, eager_acks: true };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
         let mut sender_log = Vec::new();   // durable Created ops
@@ -180,6 +181,7 @@ proptest! {
                     }
                 }
             }
+            receiver.flush_owed_ack(0);
             for (_, f) in receiver.drain_outbox() {
                 sender.on_frame(1, f);
             }
@@ -197,6 +199,7 @@ proptest! {
                     receiver_log.push(receiver.commit_accept(0, seq));
                 }
             }
+            receiver.flush_owed_ack(0);
             for (_, f) in receiver.drain_outbox() {
                 sender.on_frame(1, f);
             }
@@ -205,64 +208,48 @@ proptest! {
         prop_assert_eq!(accepted_total, created_total);
     }
 
-    /// Datagram-granularity adversary: with link-level coalescing the
-    /// unit of loss, duplication, and reordering is the *datagram* (one
-    /// encoded frame batch), not the frame. Whatever the schedule, the
-    /// receiver must accept each Vm exactly once, in dense per-channel
-    /// FIFO order, and every fresh acceptance must land inside the
-    /// oracle window `(acked, created]` of the sender's channel state.
-    /// Runs both coalesced (wire carries encoded [`WireDatagram`]s) and
-    /// non-coalesced (wire carries bare frames) for the same schedule
-    /// shape.
+    /// Datagram-granularity adversary: the unit of loss, duplication,
+    /// and reordering is the *datagram* (one encoded frame batch), not
+    /// the frame. Whatever the schedule, the receiver must accept each
+    /// Vm exactly once, in dense per-channel FIFO order, and every fresh
+    /// acceptance must land inside the oracle window `(acked, created]`
+    /// of the sender's channel state.
     #[test]
     fn datagram_adversary_preserves_fifo_and_window(
         steps in proptest::collection::vec(dgram_step_strategy(), 1..100),
-        coalesce in any::<bool>(),
     ) {
-        let cfg = VmConfig { window: 4, eager_acks: true, coalesce };
+        let cfg = VmConfig { window: 4, eager_acks: true };
         let mut sender = VmEndpoint::new(0, cfg);
         let mut receiver = VmEndpoint::new(1, cfg);
-        // The wire: each element is one transmission unit.
-        let mut to_receiver: Vec<Unit> = Vec::new();
-        let mut to_sender: Vec<Unit> = Vec::new();
+        // The wire: each element is one transmitted datagram.
+        let mut to_receiver: Vec<WireDatagram> = Vec::new();
+        let mut to_sender: Vec<WireDatagram> = Vec::new();
         // created/accepted value totals and the FIFO/window oracle.
         let mut tally = Tally::default();
 
-        // Drain one side's queued traffic onto the wire as units.
-        fn drain(ep: &mut VmEndpoint, expect_to: usize, wire: &mut Vec<Unit>, coalesce: bool) {
-            if coalesce {
-                let mut dgrams = Vec::new();
-                ep.drain_datagrams_into(&mut dgrams, |_, _| {});
-                for (to, wd) in dgrams {
-                    assert_eq!(to, expect_to);
-                    wire.push(Unit::Dgram(wd));
-                }
-            } else {
-                for (to, f) in ep.drain_outbox() {
-                    assert_eq!(to, expect_to);
-                    wire.push(Unit::Frame(f));
-                }
+        // Drain one side's queued traffic onto the wire as datagrams.
+        fn drain(ep: &mut VmEndpoint, expect_to: usize, wire: &mut Vec<WireDatagram>) {
+            let mut dgrams = Vec::new();
+            ep.drain_datagrams_into(&mut dgrams, |_, _| {});
+            for (to, wd) in dgrams {
+                assert_eq!(to, expect_to);
+                wire.push(wd);
             }
         }
 
-        // Deliver one unit's frames into an endpoint; returns the frames.
-        fn unpack(ep: &mut VmEndpoint, unit: &Unit) -> Vec<Frame> {
-            match unit {
-                Unit::Dgram(wd) => {
-                    let d = wd.decode();
-                    assert_ne!(d.id, 0, "coalesced datagrams get real ids");
-                    ep.begin_datagram(d.id);
-                    d.frames
-                }
-                Unit::Frame(f) => vec![f.clone()],
-            }
+        // Deliver one datagram into an endpoint; returns its frames.
+        fn unpack(ep: &mut VmEndpoint, wd: &WireDatagram) -> Vec<Frame> {
+            let d = wd.decode();
+            assert_ne!(d.id, 0, "datagrams get real ids");
+            ep.begin_datagram(d.id);
+            d.frames
         }
 
         let run = |step: &DStep,
                    sender: &mut VmEndpoint,
                    receiver: &mut VmEndpoint,
-                   to_receiver: &mut Vec<Unit>,
-                   to_sender: &mut Vec<Unit>,
+                   to_receiver: &mut Vec<WireDatagram>,
+                   to_sender: &mut Vec<WireDatagram>,
                    t: &mut Tally| {
             match step {
                 DStep::Create(amount) => {
@@ -271,13 +258,11 @@ proptest! {
                     t.created_count += 1;
                 }
                 DStep::Tick => sender.tick(),
-                DStep::FlushData => drain(sender, 1, to_receiver, coalesce),
+                DStep::FlushData => drain(sender, 1, to_receiver),
                 DStep::FlushAcks => {
-                    // The delayed-ack timer fires: owed acks go standalone.
-                    if coalesce {
-                        receiver.flush_owed_ack(0);
-                    }
-                    drain(receiver, 0, to_sender, coalesce);
+                    // The receiver's flush boundary: owed acks go standalone.
+                    receiver.flush_owed_ack(0);
+                    drain(receiver, 0, to_sender);
                 }
                 DStep::DeliverData { n, drop_mask, dup_mask, from_back } => {
                     for k in 0..(*n as usize) {
@@ -334,8 +319,7 @@ proptest! {
         prop_assert!(tally.accepted_total <= tally.created_total);
 
         // Reliable drain to quiescence: two ticks per round (the
-        // coalescing retransmit gate gives freshly sent frames one tick
-        // of grace).
+        // retransmit gate gives freshly sent frames one tick of grace).
         for _ in 0..2048 {
             if !sender.has_outstanding() && to_receiver.is_empty() && to_sender.is_empty() {
                 break;
@@ -355,7 +339,7 @@ proptest! {
         prop_assert_eq!(tally.accepted_total, tally.created_total,
             "exactly-once acceptance of every created amount");
         prop_assert_eq!(sender.stats().created, receiver.stats().accepted);
-        if coalesce && tally.created_count > 0 {
+        if tally.created_count > 0 {
             prop_assert!(sender.stats().datagrams_sent > 0);
         }
     }
@@ -372,14 +356,6 @@ struct Tally {
     last_accepted: u64,
 }
 
-/// One transmission unit on the adversarial wire: an encoded datagram
-/// (coalesced mode) or a bare frame (legacy mode).
-#[derive(Clone, Debug)]
-enum Unit {
-    Dgram(WireDatagram),
-    Frame(Frame),
-}
-
 /// One adversarial step at datagram granularity.
 #[derive(Clone, Debug)]
 enum DStep {
@@ -389,7 +365,7 @@ enum DStep {
     Tick,
     /// Sender's flush boundary: queued frames leave as datagrams.
     FlushData,
-    /// Receiver's delayed-ack timer + flush boundary.
+    /// Receiver's flush boundary, owed acks included.
     FlushAcks,
     /// Deliver up to `n` data units, dropping/duplicating/reordering
     /// whole datagrams by mask bits.
