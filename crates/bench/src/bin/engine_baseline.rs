@@ -21,8 +21,8 @@
 //! * `frames_per_txn` — logical protocol frames per decided transaction
 //!   (the paper's message-traffic metric, §9). Under link-level
 //!   coalescing many frames share one wire transmission, so
-//!   `datagrams_per_txn` (Vm wire datagrams) and `wire_bytes_per_txn`
-//!   report what actually hits the network. Wire bytes are accounted at
+//!   `datagrams_per_txn` (kernel transmissions, on both engines) and
+//!   `wire_bytes_per_txn` report what actually hits the network. Wire bytes are accounted at
 //!   the simulation kernel on *both* engines — every send (Vm frames
 //!   and datagrams, solicitation requests, lease releases, 2PC
 //!   messages and batches) declares its encoded length — so the DvP
@@ -72,8 +72,8 @@ struct Row {
     frames: u64,
     /// Wire transmissions handed to the kernel (datagrams count once).
     messages: u64,
-    /// Wire datagrams: Vm-layer datagrams for DvP, kernel transmissions
-    /// (one per coalesced batch) for the 2PC baseline.
+    /// Wire datagrams: kernel transmissions on both engines (a coalesced
+    /// Vm datagram or 2PC batch counts once).
     datagrams: u64,
     /// Kernel-accounted wire bytes: every send on both engines declares
     /// its encoded length, so the column compares engines honestly.
@@ -250,7 +250,7 @@ fn run_dvp(name: &'static str, w: &Workload, site: SiteConfig) -> Row {
         max_force_batch,
         frames: cl.sim.stats().frames_sent,
         messages: cl.sim.stats().sent,
-        datagrams: stats.vm.datagrams_sent,
+        datagrams: cl.sim.stats().sent,
         // Kernel-level: all DvP protocol sends (not just the Vm layer)
         // declare encoded bytes, making the figure comparable with trad2pc.
         wire_bytes: cl.sim.stats().wire_bytes,

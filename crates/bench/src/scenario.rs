@@ -209,7 +209,6 @@ impl Scenario {
             .expect("conservation must hold in every experiment");
         let stats = cl.stats();
         let m = stats.txn;
-        let vm = stats.vm;
         let decisions = m.decision_latency();
         RunReport {
             scenario: self.name,
@@ -223,13 +222,13 @@ impl Scenario {
             max_blocked_us: 0,
             messages: cl.sim.stats().sent,
             frames: cl.sim.stats().frames_sent,
-            datagrams: vm.datagrams_sent,
-            // Kernel-level wire accounting: every DvP send (Vm frames,
-            // coalesced datagrams, solicitation requests, lease releases)
-            // declares its encoded length, so this is directly comparable
-            // with the 2PC rows rather than counting only the Vm layer.
+            datagrams: cl.sim.stats().sent,
+            // Kernel-level wire accounting: every DvP send (coalesced Vm
+            // datagrams, solicitation requests, lease releases) declares
+            // its encoded length, so this is directly comparable with
+            // the 2PC rows rather than counting only the Vm layer.
             wire_bytes: cl.sim.stats().wire_bytes,
-            bytes_acked_piggyback: vm.bytes_acked_piggyback,
+            bytes_acked_piggyback: stats.vm.bytes_acked_piggyback,
             forces: stats.log.forces,
             requests: stats.placement.requests_sent,
             donations: m.donations(),
@@ -276,7 +275,7 @@ impl Scenario {
             frames: cl.sim.stats().frames_sent,
             // Every baseline send declares its encoded-length estimate
             // (`TradMsg::wire_len`), so the kernel's counters are the
-            // engine's wire volume: one datagram per transmission.
+            // engine's wire volume.
             datagrams: cl.sim.stats().sent,
             wire_bytes: cl.sim.stats().wire_bytes,
             bytes_acked_piggyback: 0,
@@ -332,9 +331,9 @@ pub struct RunReport {
     /// datagram counts its frame total; equals `messages` when nothing
     /// batches).
     pub frames: u64,
-    /// Wire datagrams transmitted: Vm-layer datagram count for DvP (0
-    /// when coalescing is off), kernel transmissions for the baseline.
-    /// `datagrams / committed` is the coalescing headline metric.
+    /// Wire datagrams transmitted: kernel transmissions, for both
+    /// engines (equal to `messages`). The Vm layer's own datagram count
+    /// stays available as `VmStats::datagrams_sent`.
     pub datagrams: u64,
     /// Bytes handed to the wire: actual codec output (frame encodings
     /// plus datagram headers) for DvP; the deterministic fixed-width

@@ -72,10 +72,9 @@ pub enum Body {
     Vm(Frame),
     /// A coalesced wire datagram: every Vm frame bound for the receiver
     /// at one flush boundary, encoded as a single length-prefixed frame
-    /// sequence. Loss, duplication, and
-    /// reordering apply to the whole datagram — per-frame Vm semantics
-    /// are unaffected because every frame is individually retransmitted
-    /// until cumulatively acked.
+    /// sequence. Loss, duplication, and reordering apply to the whole
+    /// datagram — per-frame Vm semantics are unaffected because every
+    /// frame is individually retransmitted until cumulatively acked.
     VmDatagram(WireDatagram),
     /// A solicitation: "send me value of `item`" (Section 3/5). Requests
     /// are plain messages — never retransmitted, no unique ids needed
